@@ -26,7 +26,7 @@ RACE_EXEMPT := ./internal/analysis/... ./internal/bus/... ./internal/core/... \
                ./internal/stats/... ./internal/trace/... ./internal/vehicle/... \
                ./internal/version/...
 
-.PHONY: ci vet build test race race-guard bench bench-json bench-check bench-update fuzz suite trace-demo serve load-smoke
+.PHONY: ci vet build test race race-guard perfbench-test bench bench-json bench-check bench-update fuzz suite trace-demo serve load-smoke
 
 # Benchtime for the perf-baseline suite. A duration (not an iteration
 # count): the sub-microsecond benchmarks need >=10ms of samples for stable
@@ -42,8 +42,9 @@ BENCH_OUT ?= out/bench_fresh.json
 # regressions are diagnosable from the uploaded profiles.
 BENCH_FLAGS ?=
 
-## ci: the tier-1 gate — vet, build, full test suite, then the race pass.
-ci: vet build test race
+## ci: the tier-1 gate — vet, build, full test suite, the race pass, then
+## the repository benchmark's own tests.
+ci: vet build test race perfbench-test
 
 vet:
 	$(GO) vet ./...
@@ -64,6 +65,11 @@ race-guard:
 ## sweep test, so data races surface as reports or fingerprint mismatches.
 race: race-guard
 	$(GO) test -race -count=1 $(RACE_PKGS)
+
+## perfbench-test: the tests of the repository benchmark (perfbench/), a
+## module of its own that `go test ./...` at the root does not reach.
+perfbench-test:
+	cd perfbench && $(GO) test ./...
 
 ## bench: the parallel-runner benchmarks recorded in EXPERIMENTS.md.
 bench:

@@ -40,8 +40,9 @@ var goldenDigests = map[string]string{
 }
 
 // TestGoldenDigests runs every registered experiment on the canonical seed
-// and asserts its digest against the pinned value. Every experiment must be
-// pinned: a new registration without a golden entry fails the test.
+// and asserts its digest against the pinned value and the frozen reference
+// implementation. Every experiment must be pinned: a new registration
+// without a golden entry fails the test.
 func TestGoldenDigests(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full experiment sweep")
@@ -58,10 +59,7 @@ func TestGoldenDigests(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := rep.Digest()
-			if err != nil {
-				t.Fatal(err)
-			}
+			got := assertFrozen(t, rep)
 			if got != want {
 				t.Errorf("digest %s, want %s\nthe experiment's observable output changed; if intentional, update the golden and document the change in EXPERIMENTS.md", got, want)
 			}

@@ -11,6 +11,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 
 	"hcperf/internal/trace"
@@ -47,11 +48,20 @@ type Report struct {
 // harness (internal/runner) enforces between serial and parallel runs.
 func (r *Report) Digest() (string, error) {
 	h := sha256.New()
+	// One buffer carries the whole hash input: the length-prefixed fields
+	// below, then (through Recorder.StreamCSV) the series CSV.
+	var buf []byte
 	put := func(field string, cells ...string) {
 		// Length-prefix every cell so cell boundaries cannot alias.
-		fmt.Fprintf(h, "%s:%d;", field, len(cells))
+		buf = append(buf, field...)
+		buf = append(buf, ':')
+		buf = strconv.AppendInt(buf, int64(len(cells)), 10)
+		buf = append(buf, ';')
 		for _, c := range cells {
-			fmt.Fprintf(h, "%d:%s;", len(c), c)
+			buf = strconv.AppendInt(buf, int64(len(c)), 10)
+			buf = append(buf, ':')
+			buf = append(buf, c...)
+			buf = append(buf, ';')
 		}
 	}
 	put("id", r.ID)
@@ -68,10 +78,10 @@ func (r *Report) Digest() (string, error) {
 		put("paper", row...)
 	}
 	put("notes", r.Notes...)
-	if r.Series != nil {
-		if err := r.Series.WriteCSV(h); err != nil {
-			return "", fmt.Errorf("experiment: digest series: %w", err)
-		}
+	if r.Series == nil {
+		h.Write(buf) // hash.Hash writes never fail
+	} else if err := r.Series.StreamCSV(h, buf); err != nil {
+		return "", fmt.Errorf("experiment: digest series: %w", err)
 	}
 	return hex.EncodeToString(h.Sum(nil)), nil
 }

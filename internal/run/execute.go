@@ -2,7 +2,9 @@ package run
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"sync"
 
 	"hcperf/internal/experiment"
 	"hcperf/internal/fleet"
@@ -19,11 +21,34 @@ const traceCapacity = 1 << 20
 
 // Result is a completed run: the rendered report plus, for traced
 // scenario runs, the captured lifecycle events and, for optimize runs, the
-// structured search report.
+// structured search report. A Result is shared by pointer once its report
+// digest has been taken (it must not be copied after first use), and its
+// report must not change after that.
 type Result struct {
 	Report   *experiment.Report
 	Events   []lifecycle.Event
 	Optimize *search.Report
+
+	// digestOnce guards the memoized report digest; see ReportDigest.
+	digestOnce sync.Once
+	digest     string
+	digestErr  error
+}
+
+// ReportDigest returns Report.Digest(), computed on the first call and
+// memoized for every later one; concurrent callers wait for the one
+// computation. Neither Execute nor DecodeResult computes it: the serving
+// layer's worker warms it before publishing a run, and a result restored
+// from disk pays it on first use.
+func (r *Result) ReportDigest() (string, error) {
+	r.digestOnce.Do(func() {
+		if r.Report == nil {
+			r.digestErr = errors.New("run: result has no report")
+			return
+		}
+		r.digest, r.digestErr = r.Report.Digest()
+	})
+	return r.digest, r.digestErr
 }
 
 // Func executes one normalized request. The pipeline's and the serving

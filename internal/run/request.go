@@ -137,6 +137,9 @@ func (r Request) Normalize() (Request, error) {
 	if r.Duration < 0 {
 		return r, fmt.Errorf("duration must be >= 0, got %g", r.Duration)
 	}
+	if err := scenario.CheckDuration(r.Duration, 0); err != nil {
+		return r, err
+	}
 	return r, nil
 }
 

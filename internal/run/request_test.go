@@ -4,6 +4,8 @@ import (
 	"context"
 	"strings"
 	"testing"
+
+	"hcperf/internal/scenario"
 )
 
 func TestNormalizeValidation(t *testing.T) {
@@ -18,6 +20,11 @@ func TestNormalizeValidation(t *testing.T) {
 		{name: "unknown scenario", give: Request{Scenario: "flying"}, wantErr: "unknown scenario"},
 		{name: "unknown scheme", give: Request{Scenario: "carfollow", Scheme: "fifo"}, wantErr: "unknown scheme"},
 		{name: "negative duration", give: Request{Scenario: "carfollow", Duration: -1}, wantErr: "duration"},
+		{name: "sub-step duration", give: Request{Scenario: "carfollow", Duration: 0.005}, wantErr: "the minimum is 0.01 s"},
+		{name: "sub-step spec", give: Request{Spec: &scenario.Spec{Scenario: "lanekeep", Duration: 0.005}}, wantErr: "the minimum is 0.01 s"},
+		{name: "sub-step fleet spec", give: Request{Spec: &scenario.Spec{Scenario: "carfollow", Duration: 0.005,
+			Fleet: &scenario.FleetSpec{N: 2}}}, wantErr: "the minimum is 0.01 s"},
+		{name: "one step ok", give: Request{Scenario: "carfollow", Duration: 0.01}},
 		{name: "experiment ok", give: Request{Experiment: "fig5"}},
 		{name: "scenario ok", give: Request{Scenario: "lanekeep", Scheme: "edf-vd", Duration: 5, Trace: true}},
 	}

@@ -141,7 +141,7 @@ func (c *CarFollowingConfig) applyDefaults() error {
 		}
 	}
 	if c.VehicleStep == 0 {
-		c.VehicleStep = 0.01
+		c.VehicleStep = DefaultVehicleStep
 	}
 	if c.VehicleStep <= 0 {
 		return fmt.Errorf("scenario: non-positive vehicle step %v", c.VehicleStep)

@@ -102,7 +102,7 @@ func (c *CombinedConfig) applyDefaults() error {
 		}
 	}
 	if c.VehicleStep == 0 {
-		c.VehicleStep = 0.01
+		c.VehicleStep = DefaultVehicleStep
 	}
 	if c.VehicleStep <= 0 {
 		return fmt.Errorf("scenario: non-positive vehicle step %v", c.VehicleStep)

@@ -217,6 +217,9 @@ func runLoop(lc loopConfig, build func(rec *trace.Recorder) (Plant, error)) (*lo
 // below (plant dynamics, summary sample, engine sources, coordinator) is
 // part of the simulation's observable behaviour and must not be reordered.
 func attachLoop(q *simtime.EventQueue, lc loopConfig, build func(rec *trace.Recorder) (Plant, error)) (*attachedLoop, error) {
+	if err := CheckDuration(lc.Duration, lc.VehicleStep); err != nil {
+		return nil, err
+	}
 	tun, err := lc.Tunables.Resolved()
 	if err != nil {
 		return nil, err

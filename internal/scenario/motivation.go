@@ -93,7 +93,7 @@ func (c *MotivationConfig) applyDefaults() error {
 		return fmt.Errorf("scenario: MaxObstacles %d < 1", c.MaxObstacles)
 	}
 	if c.VehicleStep == 0 {
-		c.VehicleStep = 0.01
+		c.VehicleStep = DefaultVehicleStep
 	}
 	if c.VehicleStep <= 0 {
 		return fmt.Errorf("scenario: non-positive vehicle step %v", c.VehicleStep)

@@ -197,6 +197,25 @@ var specScenarios = map[string]specCaps{
 	"motivation": {graph: GraphMotivation},
 }
 
+// DefaultVehicleStep is the dynamics integration step, in seconds, of
+// every scenario family unless a spec or config overrides it.
+const DefaultVehicleStep = 0.01
+
+// CheckDuration rejects a run shorter than one vehicle step: the dynamics
+// would never step, so the run would end with no tracking samples to
+// summarize. Exactly one step is the shortest accepted run. A zero
+// duration (the scenario default) passes; a zero vehicleStep means
+// DefaultVehicleStep.
+func CheckDuration(duration, vehicleStep float64) error {
+	if vehicleStep == 0 {
+		vehicleStep = DefaultVehicleStep
+	}
+	if duration > 0 && duration < vehicleStep {
+		return fmt.Errorf("scenario: duration %v s is shorter than one vehicle step; the minimum is %v s", duration, vehicleStep)
+	}
+	return nil
+}
+
 // DecodeSpec reads one JSON spec with strict field checking and returns it
 // normalized.
 func DecodeSpec(r io.Reader) (Spec, error) {
@@ -250,6 +269,9 @@ func (s Spec) Normalize() (Spec, error) {
 		if math.IsNaN(f.v) || math.IsInf(f.v, 0) || f.v < 0 {
 			return s, fmt.Errorf("scenario: %s must be a finite value >= 0, got %v", f.name, f.v)
 		}
+	}
+	if err := CheckDuration(s.Duration, s.VehicleStep); err != nil {
+		return s, err
 	}
 	if math.IsNaN(s.MaxDataAgeMS) || math.IsInf(s.MaxDataAgeMS, 0) {
 		return s, fmt.Errorf("scenario: max_data_age_ms must be finite, got %v", s.MaxDataAgeMS)

@@ -131,6 +131,53 @@ func TestDecodeSpecStrict(t *testing.T) {
 	}
 }
 
+// TestSubStepDurationRejected: a run shorter than one vehicle step never
+// steps the dynamics, so every family rejects it at normalization with an
+// error naming the minimum, while exactly one step still runs.
+func TestSubStepDurationRejected(t *testing.T) {
+	for _, name := range ScenarioNames() {
+		for _, tt := range []struct {
+			duration, step float64
+			wantMin        string
+		}{
+			{duration: 0.005, wantMin: "the minimum is 0.01 s"},
+			{duration: 0.0099, wantMin: "the minimum is 0.01 s"},
+			{duration: 0.015, step: 0.02, wantMin: "the minimum is 0.02 s"},
+			{duration: 0.01},
+			{duration: 0.02, step: 0.02},
+		} {
+			spec := Spec{Scenario: name, Duration: tt.duration, VehicleStep: tt.step}
+			_, err := spec.Normalize()
+			if tt.wantMin != "" {
+				if err == nil || !strings.Contains(err.Error(), tt.wantMin) {
+					t.Errorf("%s duration %v step %v: Normalize err = %v, want %q", name, tt.duration, tt.step, err, tt.wantMin)
+				}
+				continue
+			}
+			if err != nil {
+				t.Errorf("%s duration %v step %v: Normalize: %v", name, tt.duration, tt.step, err)
+				continue
+			}
+			if _, err := RunSpec(spec, nil); err != nil {
+				t.Errorf("%s one-step run: %v", name, err)
+			}
+		}
+	}
+}
+
+// TestSubStepDurationRejectedByKernel: configs that bypass Spec.Normalize
+// fail with an error instead of panicking on an empty series.
+func TestSubStepDurationRejectedByKernel(t *testing.T) {
+	if _, err := RunCarFollowing(CarFollowingConfig{Scheme: SchemeEDF, Duration: 0.005}); err == nil ||
+		!strings.Contains(err.Error(), "the minimum is 0.01 s") {
+		t.Errorf("RunCarFollowing err = %v, want the minimum named", err)
+	}
+	if _, err := RunSpec(Spec{Scenario: "carfollow", VehicleStep: 100}, nil); err == nil ||
+		!strings.Contains(err.Error(), "the minimum is 100 s") {
+		t.Errorf("RunSpec with a step longer than the default duration: err = %v, want the minimum named", err)
+	}
+}
+
 func TestRunSpecEndToEnd(t *testing.T) {
 	res, err := RunSpec(Spec{
 		Scenario: "carfollow",

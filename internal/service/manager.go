@@ -587,11 +587,23 @@ func (m *Manager) runJob(j *Job) {
 		m.metrics.Failed.Add(1)
 	}
 	if state == StateDone {
+		// Pay the report digest here, once, so every status render and
+		// cache-hit submission of this run reuses the memo.
+		_, _ = res.ReportDigest()
 		j.mu.Lock()
 		j.source = store.TierMemory
 		j.mu.Unlock()
 	}
+
+	// Finish and enter the terminal job into the LRU under one shard lock,
+	// so a waiter woken by Done already finds the job in the LRU and any
+	// entry it evicted gone. Evicted digests drop out of the job map
+	// entirely, so a resubmission re-executes or restores from disk.
+	sh := m.shardFor(j.ID)
+	sh.mu.Lock()
 	j.finish(state, res, err, time.Now())
+	m.addToCacheLocked(sh, j.ID)
+	sh.mu.Unlock()
 
 	if state == StateDone {
 		// Persist the completed run so it survives restarts and memory
@@ -599,13 +611,6 @@ func (m *Manager) runJob(j *Job) {
 		// never the run.
 		_ = run.SaveDisk(m.disk, j.ID, res)
 	}
-
-	// Enter the terminal job into the LRU; evicted digests drop out of
-	// the job map entirely, so a resubmission re-executes.
-	sh := m.shardFor(j.ID)
-	sh.mu.Lock()
-	m.addToCacheLocked(sh, j.ID)
-	sh.mu.Unlock()
 }
 
 // Shutdown stops accepting new runs, lets the workers drain the queue, and

@@ -4,13 +4,15 @@
 package trace
 
 import (
-	"encoding/csv"
 	"errors"
 	"fmt"
 	"io"
 	"math"
 	"sort"
 	"strconv"
+	"strings"
+	"unicode"
+	"unicode/utf8"
 )
 
 // Sample is one (time, value) point.
@@ -139,26 +141,93 @@ func (r *Recorder) Series(name string) *Series { return r.series[name] }
 // Names returns the series names in creation order.
 func (r *Recorder) Names() []string { return append([]string(nil), r.order...) }
 
-// WriteCSV writes all series in long format: series,time,value.
+// csvChunk is the flush threshold of the streaming CSV writer: rows are
+// appended to one reused buffer that is written out whenever it passes
+// this size, so a multi-megabyte export costs a few dozen writes.
+const csvChunk = 32 << 10
+
+// WriteCSV writes all series in long format: series,time,value. The bytes
+// are exactly what encoding/csv (comma separator, LF line endings) writes
+// for the same records; only series names can need quoting, because
+// strconv's 'g' floats never contain a comma, quote, newline or leading
+// space.
 func (r *Recorder) WriteCSV(w io.Writer) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{"series", "time", "value"}); err != nil {
-		return fmt.Errorf("trace: write header: %w", err)
+	return r.StreamCSV(w, nil)
+}
+
+// StreamCSV writes buf followed by the WriteCSV bytes to w, reusing buf's
+// storage as the chunk buffer. Report digests pass the buffer holding
+// their length-prefixed header fields, so one buffer feeds the whole hash.
+func (r *Recorder) StreamCSV(w io.Writer, buf []byte) error {
+	// A small export gets a buffer of about its own size (a row is the
+	// name plus about 40 bytes of times, values and separators) rather
+	// than a whole chunk: digests of small reports are taken at high
+	// rates, and a chunk each would multiply their garbage.
+	longest, size := 0, len(buf)+64
+	for _, s := range r.series {
+		longest = max(longest, len(s.Samples))
+		size += len(s.Samples) * (len(s.Name) + 40)
 	}
+	if size = min(size, csvChunk+csvChunk/8); cap(buf) < size {
+		buf = append(make([]byte, 0, size), buf...)
+	}
+	buf = append(buf, "series,time,value\n"...)
+	// Series recorded on one clock share their time grid, so sample times
+	// are formatted once per grid and copied from here for later series
+	// whose sample at the same index has the same bits.
+	times := make([]timeText, longest)
 	for _, name := range r.order {
-		for _, p := range r.series[name].Samples {
-			rec := []string{
-				name,
-				strconv.FormatFloat(p.T, 'g', -1, 64),
-				strconv.FormatFloat(p.V, 'g', -1, 64),
+		field := csvField(name)
+		for i, p := range r.series[name].Samples {
+			buf = append(buf, field...)
+			buf = append(buf, ',')
+			if tt, bits := &times[i], math.Float64bits(p.T); tt.n > 0 && tt.bits == bits {
+				buf = append(buf, tt.text[:tt.n]...)
+			} else {
+				start := len(buf)
+				buf = strconv.AppendFloat(buf, p.T, 'g', -1, 64)
+				if t := buf[start:]; len(t) <= len(tt.text) {
+					tt.bits, tt.n = bits, uint8(copy(tt.text[:], t))
+				}
 			}
-			if err := cw.Write(rec); err != nil {
-				return fmt.Errorf("trace: write row: %w", err)
+			buf = append(buf, ',')
+			buf = strconv.AppendFloat(buf, p.V, 'g', -1, 64)
+			buf = append(buf, '\n')
+			if len(buf) >= csvChunk {
+				if _, err := w.Write(buf); err != nil {
+					return fmt.Errorf("trace: write rows: %w", err)
+				}
+				buf = buf[:0]
 			}
 		}
 	}
-	cw.Flush()
-	return cw.Error()
+	if _, err := w.Write(buf); err != nil {
+		return fmt.Errorf("trace: write rows: %w", err)
+	}
+	return nil
+}
+
+// timeText is one cached formatted sample time; n == 0 marks an empty
+// slot. 24 bytes hold any 'g'-formatted float64, the longest being
+// "-1.2345678901234567e-308".
+type timeText struct {
+	bits uint64
+	n    uint8
+	text [24]byte
+}
+
+// csvField renders one field the way encoding/csv's Writer does: quoted,
+// with inner quotes doubled, when it holds a comma, quote, CR or LF,
+// starts with a space character, or is exactly `\.`; verbatim otherwise.
+func csvField(s string) string {
+	if s == "" {
+		return s
+	}
+	r, _ := utf8.DecodeRuneInString(s)
+	if s != `\.` && !strings.ContainsAny(s, ",\"\r\n") && !unicode.IsSpace(r) {
+		return s
+	}
+	return `"` + strings.ReplaceAll(s, `"`, `""`) + `"`
 }
 
 // Percentile returns the p-th percentile (0..100, linear interpolation) of

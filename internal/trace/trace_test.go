@@ -1,7 +1,10 @@
 package trace
 
 import (
+	"bytes"
+	"encoding/csv"
 	"math"
+	"strconv"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -115,6 +118,48 @@ func TestWriteCSV(t *testing.T) {
 	want := "series,time,value\na,0,1.5\nb,0.25,-2\n"
 	if got != want {
 		t.Errorf("CSV = %q, want %q", got, want)
+	}
+}
+
+// TestWriteCSVMatchesEncodingCSV pins the streaming writer to
+// encoding/csv's quoting rules for every kind of series name it quotes,
+// on enough rows to cross several flush chunks, and its cached sample
+// times to series that share, partly share and leave a time grid.
+func TestWriteCSVMatchesEncodingCSV(t *testing.T) {
+	names := []string{"plain", "a,b", `say "hi"`, "cr\rlf\n", " lead", "\tlead", "\u00a0nbsp", `\.`, `\.x`, "\xff", "über"}
+	r := NewRecorder()
+	n := 4 * csvChunk / len(names)
+	for i := 0; i < n; i++ {
+		for j, name := range names {
+			if err := r.Add(name, float64(i)*0.01, float64(i*j)/7); err != nil {
+				t.Fatal(err)
+			}
+		}
+		// Off the grid at odd indices, then back on it.
+		if err := r.Add("shifted", float64(i)*0.01+0.005*float64(i%2), -float64(i)); err != nil {
+			t.Fatal(err)
+		}
+		if err := r.Add("after", float64(i)*0.01, float64(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := r.Add("short", math.Copysign(0, -1), 0); err != nil {
+		t.Fatal(err)
+	}
+	var got, want bytes.Buffer
+	if err := r.WriteCSV(&got); err != nil {
+		t.Fatal(err)
+	}
+	cw := csv.NewWriter(&want)
+	_ = cw.Write([]string{"series", "time", "value"})
+	for _, name := range r.Names() {
+		for _, p := range r.Series(name).Samples {
+			_ = cw.Write([]string{name, strconv.FormatFloat(p.T, 'g', -1, 64), strconv.FormatFloat(p.V, 'g', -1, 64)})
+		}
+	}
+	cw.Flush()
+	if !bytes.Equal(got.Bytes(), want.Bytes()) {
+		t.Fatalf("WriteCSV (%d bytes) differs from encoding/csv (%d bytes)", got.Len(), want.Len())
 	}
 }
 
