@@ -26,7 +26,7 @@ RACE_EXEMPT := ./internal/analysis/... ./internal/bus/... ./internal/core/... \
                ./internal/stats/... ./internal/trace/... ./internal/vehicle/... \
                ./internal/version/...
 
-.PHONY: ci vet build test race race-guard perfbench-test bench bench-json bench-check bench-update fuzz suite trace-demo serve load-smoke
+.PHONY: ci vet build test race race-guard perfbench-test fleet-cpu bench bench-json bench-check bench-update fuzz suite trace-demo serve load-smoke
 
 # Benchtime for the perf-baseline suite. A duration (not an iteration
 # count): the sub-microsecond benchmarks need >=10ms of samples for stable
@@ -42,9 +42,9 @@ BENCH_OUT ?= out/bench_fresh.json
 # regressions are diagnosable from the uploaded profiles.
 BENCH_FLAGS ?=
 
-## ci: the tier-1 gate — vet, build, full test suite, the race pass, then
-## the repository benchmark's own tests.
-ci: vet build test race perfbench-test
+## ci: the tier-1 gate — vet, build, full test suite, the race pass, the
+## repository benchmark's own tests, then the fleet worker-count pass.
+ci: vet build test race perfbench-test fleet-cpu
 
 vet:
 	$(GO) vet ./...
@@ -70,6 +70,12 @@ race: race-guard
 ## module of its own that `go test ./...` at the root does not reach.
 perfbench-test:
 	cd perfbench && $(GO) test ./...
+
+## fleet-cpu: the fleet and golden-digest tests at GOMAXPROCS 1, 2 and 4,
+## so the parallel fleet runner's worker-count invariance is checked on
+## every run whatever the machine's core count.
+fleet-cpu:
+	$(GO) test -count=1 -cpu 1,2,4 -run 'Fleet|Golden' ./internal/fleet ./internal/experiment
 
 ## bench: the parallel-runner benchmarks recorded in EXPERIMENTS.md.
 bench:

@@ -1,14 +1,28 @@
 // Package fleet scales the single-vehicle HCPerf closed loop to a fleet:
 // N vehicles (hundreds to thousands), each running its own task graph,
 // engine and coordinator on the existing lifecycle kernel, all advanced
-// deterministically on ONE shared virtual clock.
+// deterministically on one virtual clock.
 //
 // Determinism at fleet scale rests on three rules:
 //
-//   - One clock. Every vehicle's events live on a single
-//     simtime.EventQueue; events at the same instant fire in creation
-//     order, so the interleaving is fixed by construction order, not by
-//     scheduling accidents.
+//   - One clock order. A fleet run fires its events exactly as if every
+//     vehicle's events lived on one shared simtime.EventQueue, where
+//     same-instant events fire in creation order. The reference runner
+//     does just that. The default runner gives each vehicle its own queue
+//     and advances the fleet one vehicle step T_k at a time: in phase A,
+//     min(GOMAXPROCS, N) workers each run a contiguous block of vehicles
+//     up to (not including) each vehicle's pending dynamics tick at T_k;
+//     the fleet sampler then runs up to T_k; in phase B the runner fires
+//     the ticks serially in platoon order. Vehicles observe each other
+//     only through plant state that changes at those ticks, so this is
+//     the shared-queue order, with one exception, the tie: an event at
+//     exactly T_k, scheduled at exactly T_{k-1}, that reads a predecessor
+//     before its own vehicle's tick, or a fleet sample at T_k scheduled
+//     at or after T_{k-1}. The shared queue may order it after some of
+//     T_k's ticks (see tieWatch). The runner detects a tie from the
+//     firing event's schedule time and reruns the whole fleet on the
+//     reference runner. Traced runs use the reference runner too, so
+//     their lifecycle events keep their shared-queue order.
 //   - Partitioned randomness. Each vehicle's engine and sensing noise are
 //     seeded from its own per-vehicle seed — either pinned explicitly or
 //     derived from the fleet seed with a splitmix64 partition
@@ -29,8 +43,11 @@
 package fleet
 
 import (
+	"errors"
 	"fmt"
+	"runtime"
 	"sort"
+	"sync/atomic"
 
 	"hcperf/internal/lifecycle"
 	"hcperf/internal/scenario"
@@ -74,8 +91,12 @@ type Config struct {
 	// N when non-empty).
 	VehicleSeeds []int64
 	// Tracer optionally receives every vehicle's lifecycle events,
-	// interleaved in virtual-time order.
+	// interleaved in virtual-time order. A traced fleet runs on the
+	// single-queue reference runner.
 	Tracer lifecycle.Tracer
+	// VehicleSeries keeps each vehicle's own series recorder in
+	// Result.VehicleRecs. Off by default: no fleet output reads them.
+	VehicleSeries bool
 }
 
 // VehicleSeed derives vehicle i's seed from the fleet seed with a
@@ -159,39 +180,95 @@ type Result struct {
 	Collisions int
 	// Rec holds the fleet-level aggregate series (fleet_err_mean,
 	// fleet_err_p95, fleet_err_max, fleet_gap_min), sampled once per
-	// summary period on the shared clock.
+	// summary period.
 	Rec *trace.Recorder
 	// VehicleRecs holds each vehicle's own series recorder, in fleet
-	// order (the same series a single-vehicle run records).
+	// order (the same series a single-vehicle run records), when
+	// Config.VehicleSeries is set; nil otherwise.
 	VehicleRecs []*trace.Recorder
+
+	// fellBack records that a tie sent the run to the reference runner.
+	fellBack bool
 }
 
 // predProfile exposes a predecessor vehicle's simulated speed as its
 // follower's lead-speed profile. Speed ignores the profile clock and reads
-// the predecessor's current state: the shared queue steps vehicle i-1's
-// dynamics before vehicle i's at every instant (tickers fire in creation
-// order), so the follower always perceives the predecessor's already-
-// integrated state for the step ending now.
+// the predecessor's current state, which only the predecessor's dynamics
+// tick changes: at every step instant the ticks fire in platoon order, so
+// the follower's own tick integrates against the predecessor's state for
+// the step ending now, and every other follower event sees the state of
+// the latest step whose ticks have all fired. Reads go through the tie
+// watch, which flags the one same-instant order the parallel runner cannot
+// reproduce.
 type predProfile struct {
-	pred *scenario.CarFollowingRun
+	pred  *scenario.CarFollowingRun
+	q     *simtime.EventQueue // the follower's queue
+	watch *tieWatch
 }
 
 // Speed implements vehicle.SpeedProfile.
-func (p predProfile) Speed(float64) float64 { return p.pred.FollowerSpeed() }
+func (p predProfile) Speed(float64) float64 {
+	p.watch.read(p.q)
+	return p.pred.FollowerSpeed()
+}
 
-// Run executes one fleet run to completion and aggregates the results.
-func Run(cfg Config) (*Result, error) {
+// errTie reports that the parallel runner met a same-instant order it
+// cannot reproduce; Run then reruns the fleet on the reference runner.
+var errTie = errors.New("fleet: predecessor read tied with a step instant")
+
+// tieWatch flags the same-instant orders the parallel runner cannot vouch
+// for. On a shared queue the dynamics ticks of a step instant T_k fire in
+// platoon order, all scheduled at T_{k-1}. A vehicle event at T_k that its
+// own queue orders after the vehicle's tick was scheduled after that tick,
+// so after its predecessor's too: both runners show it the predecessor as
+// of T_k. An event ordered before its own tick runs in phase A and sees the
+// predecessor as of T_{k-1}. The shared queue agrees when the event was
+// scheduled before T_{k-1}, but one scheduled at exactly T_{k-1} may have
+// been scheduled after the predecessor's tick of that instant, so its
+// predecessor read is a tie. The fleet sampler runs between the phases and
+// sees every vehicle as of T_{k-1}; a sample at T_k is a tie unless it was
+// scheduled before T_{k-1}.
+type tieWatch struct {
+	// step and prev are T_k and T_{k-1}; phaseA is set while workers run.
+	// The runner writes them between phases only.
+	step, prev simtime.Time
+	phaseA     bool
+	tie        atomic.Bool
+}
+
+// read notes a cross-vehicle read by the event now firing on q. A nil
+// watch (the reference runner) ignores it.
+func (w *tieWatch) read(q *simtime.EventQueue) {
+	if w != nil && w.phaseA && q.Now() == w.step && q.ScheduledAt() >= w.prev {
+		w.tie.Store(true)
+	}
+}
+
+// plan is a validated Config with its defaults resolved.
+type plan struct {
+	cfg            Config
+	coupling       string
+	brakeThreshold float64
+	brakeObstacles int
+	seeds          []int64
+	// shared is the obstacle field every vehicle drives through; coupling
+	// terms stack on top per follower.
+	shared func(t float64) int
+}
+
+func newPlan(cfg Config) (*plan, error) {
 	if cfg.N < 1 {
 		return nil, fmt.Errorf("fleet: N %d < 1", cfg.N)
 	}
-	coupling := cfg.Coupling
-	if coupling == "" {
-		coupling = scenario.FleetCouplingNone
+	p := &plan{cfg: cfg, coupling: cfg.Coupling, brakeThreshold: cfg.BrakeThreshold,
+		brakeObstacles: cfg.BrakeObstacles, shared: cfg.Base.Obstacles}
+	if p.coupling == "" {
+		p.coupling = scenario.FleetCouplingNone
 	}
-	switch coupling {
+	switch p.coupling {
 	case scenario.FleetCouplingNone, scenario.FleetCouplingPlatoon:
 	default:
-		return nil, fmt.Errorf("fleet: unknown coupling %q", coupling)
+		return nil, fmt.Errorf("fleet: unknown coupling %q", p.coupling)
 	}
 	if cfg.Spacing < 0 {
 		return nil, fmt.Errorf("fleet: negative spacing %v", cfg.Spacing)
@@ -199,46 +276,68 @@ func Run(cfg Config) (*Result, error) {
 	if len(cfg.VehicleSeeds) > 0 && len(cfg.VehicleSeeds) != cfg.N {
 		return nil, fmt.Errorf("fleet: %d vehicle seeds for %d vehicles", len(cfg.VehicleSeeds), cfg.N)
 	}
-	brakeThreshold := cfg.BrakeThreshold
-	if brakeThreshold == 0 {
-		brakeThreshold = DefaultBrakeThreshold
+	if p.brakeThreshold == 0 {
+		p.brakeThreshold = DefaultBrakeThreshold
 	}
-	brakeObstacles := cfg.BrakeObstacles
-	if brakeObstacles == 0 {
-		brakeObstacles = DefaultBrakeObstacles
+	if p.brakeObstacles == 0 {
+		p.brakeObstacles = DefaultBrakeObstacles
 	}
-
-	seeds := make([]int64, cfg.N)
-	for i := range seeds {
+	if p.shared == nil {
+		p.shared = scenario.DefaultCarFollowingObstacles
+	}
+	p.seeds = make([]int64, cfg.N)
+	for i := range p.seeds {
 		if len(cfg.VehicleSeeds) > 0 {
-			seeds[i] = cfg.VehicleSeeds[i]
+			p.seeds[i] = cfg.VehicleSeeds[i]
 		} else {
-			seeds[i] = VehicleSeed(cfg.Seed, i)
+			p.seeds[i] = VehicleSeed(cfg.Seed, i)
 		}
 	}
+	return p, nil
+}
 
-	// The shared obstacle field every vehicle drives through; coupling
-	// terms stack on top per follower.
-	shared := cfg.Base.Obstacles
-	if shared == nil {
-		shared = scenario.DefaultCarFollowingObstacles
+// Run executes one fleet run to completion and aggregates the results. An
+// untraced fleet runs on the parallel runner unless a tie sends it back to
+// the reference runner; the two produce identical results.
+func Run(cfg Config) (*Result, error) {
+	p, err := newPlan(cfg)
+	if err != nil {
+		return nil, err
 	}
+	if cfg.Tracer == nil {
+		res, err := p.runParallel()
+		if !errors.Is(err, errTie) {
+			return res, err
+		}
+	}
+	res, err := p.runShared()
+	if res != nil {
+		res.fellBack = cfg.Tracer == nil
+	}
+	return res, err
+}
 
-	q := simtime.NewEventQueue()
-	runs := make([]*scenario.CarFollowingRun, cfg.N)
-	for i := 0; i < cfg.N; i++ {
-		vcfg := cfg.Base
-		vcfg.Seed = seeds[i]
-		vcfg.Obstacles = shared
-		vcfg.Tracer = cfg.Tracer
-		if coupling == scenario.FleetCouplingPlatoon && i > 0 {
-			pred := runs[i-1]
-			vcfg.LeadProfile = predProfile{pred: pred}
-			vcfg.InitGap = cfg.Spacing
+// attach wires the fleet's vehicles in platoon order, vehicle i onto
+// queue(i). watch observes every predecessor read (nil: no watch).
+func (p *plan) attach(queue func(i int) *simtime.EventQueue, watch *tieWatch) ([]*scenario.CarFollowingRun, error) {
+	runs := make([]*scenario.CarFollowingRun, p.cfg.N)
+	for i := range runs {
+		q := queue(i)
+		vcfg := p.cfg.Base
+		vcfg.Seed = p.seeds[i]
+		vcfg.Obstacles = p.shared
+		vcfg.Tracer = p.cfg.Tracer
+		vcfg.DiscardSeries = !p.cfg.VehicleSeries
+		if p.coupling == scenario.FleetCouplingPlatoon && i > 0 {
+			pred, shared := runs[i-1], p.shared
+			threshold, bump := p.brakeThreshold, p.brakeObstacles
+			vcfg.LeadProfile = predProfile{pred: pred, q: q, watch: watch}
+			vcfg.InitGap = p.cfg.Spacing
 			vcfg.Obstacles = func(t float64) int {
 				n := shared(t)
-				if pred.FollowerAccel() <= -brakeThreshold {
-					n += brakeObstacles
+				watch.read(q)
+				if pred.FollowerAccel() <= -threshold {
+					n += bump
 				}
 				return n
 			}
@@ -249,19 +348,24 @@ func Run(cfg Config) (*Result, error) {
 		}
 		runs[i] = r
 	}
-	duration := runs[0].Duration()
+	return runs, nil
+}
 
-	// Fleet-level aggregate sampler: created after every vehicle so at
-	// each sample instant it observes post-step state. The per-vehicle
-	// errors are sorted before summing, keeping the recorded aggregates
-	// permutation-invariant bit for bit.
-	samplePeriod := 1.0
-	if cfg.Base.SampleRate > 0 {
-		samplePeriod = 1 / cfg.Base.SampleRate
+// samplePeriod is the fleet sampler's period: the base summary rate.
+func (p *plan) samplePeriod() simtime.Duration {
+	if p.cfg.Base.SampleRate > 0 {
+		return simtime.Duration(1 / p.cfg.Base.SampleRate)
 	}
-	rec := trace.NewRecorder()
-	errs := make([]float64, cfg.N)
-	if _, err := q.NewTicker(simtime.Time(samplePeriod), simtime.Duration(samplePeriod), func(now simtime.Time) {
+	return 1
+}
+
+// sampler returns the fleet-level aggregate sampler, recording into rec.
+// It observes the vehicles' current plant state; the per-vehicle errors
+// are sorted before summing, keeping the recorded aggregates
+// permutation-invariant bit for bit.
+func sampler(runs []*scenario.CarFollowingRun, rec *trace.Recorder) func(now simtime.Time) {
+	errs := make([]float64, len(runs))
+	return func(now simtime.Time) {
 		gapMin := runs[0].Gap()
 		for i, r := range runs {
 			errs[i] = r.TrackingError(now)
@@ -280,30 +384,109 @@ func Run(cfg Config) (*Result, error) {
 		recAdd(rec, "fleet_err_p95", t, d.P95)
 		recAdd(rec, "fleet_err_max", t, d.Max)
 		recAdd(rec, "fleet_gap_min", t, gapMin)
+	}
+}
+
+// runShared is the reference runner: every vehicle on one shared queue,
+// the fleet sampler created after every vehicle.
+func (p *plan) runShared() (*Result, error) {
+	q := simtime.NewEventQueue()
+	runs, err := p.attach(func(int) *simtime.EventQueue { return q }, nil)
+	if err != nil {
+		return nil, err
+	}
+	rec := trace.NewRecorder()
+	period := p.samplePeriod()
+	if _, err := q.NewTicker(period, period, sampler(runs, rec)); err != nil {
+		return nil, fmt.Errorf("fleet: sampler: %w", err)
+	}
+	if err := q.RunUntil(simtime.Time(runs[0].Duration())); err != nil {
+		return nil, fmt.Errorf("fleet: run: %w", err)
+	}
+	return p.collect(runs, rec), nil
+}
+
+// runParallel is the default runner: one queue per vehicle, advanced one
+// vehicle step at a time (see the package doc). It returns errTie when the
+// watch flags a same-instant order it cannot reproduce.
+func (p *plan) runParallel() (*Result, error) {
+	w := &tieWatch{}
+	queues := make([]*simtime.EventQueue, p.cfg.N)
+	for i := range queues {
+		queues[i] = simtime.NewEventQueue()
+	}
+	runs, err := p.attach(func(i int) *simtime.EventQueue { return queues[i] }, w)
+	if err != nil {
+		return nil, err
+	}
+	rec := trace.NewRecorder()
+	sample := sampler(runs, rec)
+	sq := simtime.NewEventQueue()
+	period := p.samplePeriod()
+	if _, err := sq.NewTicker(period, period, func(now simtime.Time) {
+		if now == w.step && sq.ScheduledAt() >= w.prev {
+			w.tie.Store(true)
+		}
+		sample(now)
 	}); err != nil {
 		return nil, fmt.Errorf("fleet: sampler: %w", err)
 	}
 
-	if err := q.RunUntil(simtime.Time(duration)); err != nil {
-		return nil, fmt.Errorf("fleet: run: %w", err)
+	end := simtime.Time(runs[0].Duration())
+	pool := newPool(min(runtime.GOMAXPROCS(0), p.cfg.N), p.cfg.N)
+	defer pool.close()
+	for {
+		// Every vehicle steps on the same grid, so vehicle 0's pending
+		// tick is T_k for the whole fleet.
+		w.step = runs[0].NextStep().At
+		last := w.step > end
+		w.phaseA = true
+		err := pool.each(func(i int) error {
+			if last {
+				return queues[i].RunUntil(end)
+			}
+			return queues[i].RunBefore(runs[i].NextStep())
+		})
+		w.phaseA = false
+		if err != nil {
+			return nil, fmt.Errorf("fleet: run: %w", err)
+		}
+		if err := sq.RunUntil(min(w.step, end)); err != nil {
+			return nil, fmt.Errorf("fleet: sampler: %w", err)
+		}
+		if w.tie.Load() {
+			return nil, errTie
+		}
+		if last {
+			return p.collect(runs, rec), nil
+		}
+		for _, q := range queues {
+			q.Step() // phase B: the tick RunBefore stopped at
+		}
+		w.prev = w.step
 	}
+}
 
+// collect finishes every vehicle and aggregates the fleet result.
+func (p *plan) collect(runs []*scenario.CarFollowingRun, rec *trace.Recorder) *Result {
 	res := &Result{
-		N:           cfg.N,
-		Coupling:    coupling,
-		Duration:    duration,
-		Vehicles:    make([]VehicleStats, cfg.N),
-		Rec:         rec,
-		VehicleRecs: make([]*trace.Recorder, cfg.N),
+		N:        p.cfg.N,
+		Coupling: p.coupling,
+		Duration: runs[0].Duration(),
+		Vehicles: make([]VehicleStats, p.cfg.N),
+		Rec:      rec,
 	}
-	speed := make([]float64, cfg.N)
-	dist := make([]float64, cfg.N)
-	miss := make([]float64, cfg.N)
+	if p.cfg.VehicleSeries {
+		res.VehicleRecs = make([]*trace.Recorder, p.cfg.N)
+	}
+	speed := make([]float64, p.cfg.N)
+	dist := make([]float64, p.cfg.N)
+	miss := make([]float64, p.cfg.N)
 	for i, r := range runs {
 		out := r.Finish()
 		res.Vehicles[i] = VehicleStats{
 			Index:        i,
-			Seed:         seeds[i],
+			Seed:         p.seeds[i],
 			SpeedErrRMS:  out.SpeedErrRMS,
 			DistErrRMS:   out.DistErrRMS,
 			MissRatio:    out.Miss.MeanRatio(),
@@ -311,7 +494,9 @@ func Run(cfg Config) (*Result, error) {
 			MeanResponse: out.MeanResponse,
 			Collision:    out.Collision,
 		}
-		res.VehicleRecs[i] = out.Rec
+		if res.VehicleRecs != nil {
+			res.VehicleRecs[i] = out.Rec
+		}
 		speed[i], dist[i], miss[i] = out.SpeedErrRMS, out.DistErrRMS, res.Vehicles[i].MissRatio
 		if out.Collision {
 			res.Collisions++
@@ -320,7 +505,7 @@ func Run(cfg Config) (*Result, error) {
 	res.SpeedRMS = distribution(speed)
 	res.DistRMS = distribution(dist)
 	res.Miss = distribution(miss)
-	return res, nil
+	return res
 }
 
 // recAdd appends to a recorder series; the fleet sampler only ever advances

@@ -9,6 +9,7 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -212,9 +213,10 @@ func TestVehiclePermutationInvariance(t *testing.T) {
 func TestFleetN1EquivalentToSingle(t *testing.T) {
 	const seed = 77
 	res, err := fleet.Run(fleet.Config{
-		Base:         scenario.CarFollowingConfig{Scheme: scenario.SchemeHCPerf, Duration: 5},
-		N:            1,
-		VehicleSeeds: []int64{seed},
+		Base:          scenario.CarFollowingConfig{Scheme: scenario.SchemeHCPerf, Duration: 5},
+		N:             1,
+		VehicleSeeds:  []int64{seed},
+		VehicleSeries: true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -245,9 +247,10 @@ func TestFleetN1EquivalentToSingle(t *testing.T) {
 func TestFleetOfKEqualsKSingles(t *testing.T) {
 	seeds := []int64{101, 202, 303}
 	res, err := fleet.Run(fleet.Config{
-		Base:         scenario.CarFollowingConfig{Scheme: scenario.SchemeHCPerf, Duration: 5},
-		N:            len(seeds),
-		VehicleSeeds: seeds,
+		Base:          scenario.CarFollowingConfig{Scheme: scenario.SchemeHCPerf, Duration: 5},
+		N:             len(seeds),
+		VehicleSeeds:  seeds,
+		VehicleSeries: true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -269,11 +272,28 @@ func TestFleetOfKEqualsKSingles(t *testing.T) {
 // detector (CI's focused race job runs this package with -race): N=64
 // platoons in parallel goroutines must neither race nor diverge from the
 // serial digest. This is the audit for the engine's dense task-indexed
-// slices and per-loop solver reuse at fleet scale.
+// slices and per-loop solver reuse at fleet scale. With GOMAXPROCS of at
+// least 2 every fleet also steps on parallel workers, whose phase A reads
+// a predecessor that another worker is stepping across each block
+// boundary.
 func TestFleetConcurrentRace(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(max(2, runtime.GOMAXPROCS(0))))
 	n := 64
 	if testing.Short() {
 		n = 8
+	}
+	res, err := fleet.Run(fleet.Config{
+		Base:     scenario.CarFollowingConfig{Scheme: scenario.SchemeHCPerf, Duration: 5},
+		N:        n,
+		Coupling: scenario.FleetCouplingPlatoon,
+		Spacing:  18,
+		Seed:     9,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fleet.FellBack(res) {
+		t.Fatal("platoon fell back to the reference runner; the race audit would miss the parallel path")
 	}
 	want := specDigest(t, platoonSpec(n, 9))
 	const fleets = 3

@@ -268,8 +268,8 @@ func benchEngineSecond(b *testing.B, mk func() sched.Scheduler) {
 
 // benchFleetSecond measures one simulated second of an N-vehicle
 // platoon-coupled fleet — N full closed loops (engine, coordinator,
-// vehicle dynamics) interleaved on one shared clock, the fleet layer's
-// end-to-end hot path.
+// vehicle dynamics) stepped together by the fleet runner, the fleet
+// layer's end-to-end hot path.
 func benchFleetSecond(b *testing.B, n int) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sort"
 
 	"hcperf/internal/core"
 	"hcperf/internal/engine"
@@ -87,6 +88,10 @@ type CarFollowingConfig struct {
 	// defaults (core.DefaultTunables); the search subsystem explores this
 	// space. A non-zero GammaCap field above wins over Tunables.GammaCap.
 	Tunables core.Tunables
+	// DiscardSeries records no time series: the result's Rec is nil,
+	// every other result field is unchanged. Fleets set it for vehicles
+	// whose own series nobody reads.
+	DiscardSeries bool
 }
 
 // DefaultCarFollowingObstacles is the paper's complex-scene episode — 11
@@ -170,6 +175,7 @@ func (c *CarFollowingConfig) loop() loopConfig {
 		Obstacles:     c.Obstacles,
 		Tracer:        c.Tracer,
 		Tunables:      c.Tunables,
+		DiscardSeries: c.DiscardSeries,
 	}
 }
 
@@ -180,7 +186,8 @@ type CarFollowingResult struct {
 	Scheme Scheme
 	// Rec holds the recorded time series: lead_speed, follow_speed,
 	// speed_err, dist_err, gap, miss_ratio, throughput, response_ms,
-	// discomfort, and for HCPerf schemes gamma and u.
+	// discomfort, and for HCPerf schemes gamma and u. Nil when the config
+	// set DiscardSeries.
 	Rec *trace.Recorder
 	// SpeedErrRMS is the RMS speed tracking error (Table II / V).
 	SpeedErrRMS float64
@@ -218,15 +225,21 @@ type CarFollowingResult struct {
 // on a speed profile and a follower driven by stale pipeline outputs.
 type carFollowPlant struct {
 	cfg   *CarFollowingConfig
-	rec   *trace.Recorder
 	noise *rand.Rand
 	gains vehicle.CarFollower
 
 	follower *vehicle.Longitudinal
 	lead     *vehicle.Lead
 
-	// Full-resolution world history for stale-perception lookups.
-	histLeadSpeed, histLeadPos, histFolPos, histFolSpeed trace.Series
+	// Full-resolution world history for stale-perception lookups, one
+	// entry per vehicle step in time order.
+	hist []carFollowState
+
+	// Running sums of the squared speed and distance errors over the
+	// steps in [0, Duration), accumulated in step order: the RMS tracking
+	// errors, bit for bit, without keeping their series.
+	speedErrSq, distErrSq float64
+	errSteps              int
 
 	weaklyHard *metrics.WeaklyHard
 	discomfort *metrics.Discomfort
@@ -239,15 +252,42 @@ type carFollowPlant struct {
 	maxGap         float64
 	gapWindowStart float64
 	lastCmds       uint64
+
+	// Recorded series, per coordinator period, per step and per sample.
+	errSample, u, gamma                            series
+	leadSpeed, followSpeed, speedErr, gap, distErr series
+	throughput, response, discomfortIdx, missRatio series
+	queueLen, utilization, rateCamera, rateLidar   series
+}
+
+// carFollowState is one history entry: the world at the end of one step.
+type carFollowState struct {
+	t, leadSpeed, leadPos, folSpeed, folPos float64
 }
 
 func newCarFollowPlant(cfg *CarFollowingConfig, rec *trace.Recorder) (*carFollowPlant, error) {
 	p := &carFollowPlant{
 		cfg:            cfg,
-		rec:            rec,
 		noise:          rand.New(rand.NewSource(cfg.Seed ^ 0x5eed)),
 		gains:          cfg.FollowerGains,
 		gapWindowStart: math.Min(20, cfg.Duration/4),
+
+		errSample:     series{rec: rec, name: "tracking_err_sample"},
+		u:             series{rec: rec, name: "u"},
+		gamma:         series{rec: rec, name: "gamma"},
+		leadSpeed:     series{rec: rec, name: "lead_speed"},
+		followSpeed:   series{rec: rec, name: "follow_speed"},
+		speedErr:      series{rec: rec, name: "speed_err"},
+		gap:           series{rec: rec, name: "gap"},
+		distErr:       series{rec: rec, name: "dist_err"},
+		throughput:    series{rec: rec, name: "throughput"},
+		response:      series{rec: rec, name: "response_ms"},
+		discomfortIdx: series{rec: rec, name: "discomfort"},
+		missRatio:     series{rec: rec, name: "miss_ratio"},
+		queueLen:      series{rec: rec, name: "queue_len"},
+		utilization:   series{rec: rec, name: "utilization"},
+		rateCamera:    series{rec: rec, name: "rate_camera"},
+		rateLidar:     series{rec: rec, name: "rate_lidar"},
 	}
 	var err error
 	if p.follower, err = vehicle.NewLongitudinal(cfg.Longitudinal); err != nil {
@@ -261,9 +301,7 @@ func newCarFollowPlant(cfg *CarFollowingConfig, rec *trace.Recorder) (*carFollow
 	if p.lead, err = vehicle.NewLead(cfg.LeadProfile, gap0); err != nil {
 		return nil, err
 	}
-	if err := p.recordHistory(0); err != nil {
-		return nil, err
-	}
+	p.recordHistory(0, p.lead.Speed())
 	if p.weaklyHard, err = metrics.NewWeaklyHard(1, 10); err != nil {
 		return nil, err
 	}
@@ -273,29 +311,27 @@ func newCarFollowPlant(cfg *CarFollowingConfig, rec *trace.Recorder) (*carFollow
 	return p, nil
 }
 
-func (p *carFollowPlant) recordHistory(now float64) error {
-	if err := p.histLeadSpeed.Add(now, p.lead.Speed()); err != nil {
-		return err
-	}
-	if err := p.histLeadPos.Add(now, p.lead.Position); err != nil {
-		return err
-	}
-	if err := p.histFolSpeed.Add(now, p.follower.Speed); err != nil {
-		return err
-	}
-	return p.histFolPos.Add(now, p.follower.Position)
+// recordHistory appends the world at now; steps only move forward, so the
+// history stays time-ordered.
+func (p *carFollowPlant) recordHistory(now, leadSpeed float64) {
+	p.hist = append(p.hist, carFollowState{
+		t: now, leadSpeed: leadSpeed, leadPos: p.lead.Position,
+		folSpeed: p.follower.Speed, folPos: p.follower.Position,
+	})
 }
 
 func (p *carFollowPlant) Perceive(cmd engine.ControlCommand) {
 	at := float64(cmd.SourceTime)
-	if leadSpd, ok := p.histLeadSpeed.At(at); ok {
-		leadPos, _ := p.histLeadPos.At(at)
-		folPos, _ := p.histFolPos.At(at)
-		folSpd, _ := p.histFolSpeed.At(at)
+	// Zero-order hold: the latest history entry at or before the
+	// command's source time.
+	h := p.hist
+	if i := sort.Search(len(h), func(i int) bool { return h[i].t > at }); i > 0 {
+		s := h[i-1]
+		leadSpd, folSpd := s.leadSpeed, s.folSpeed
 		if p.cfg.SpeedNoiseSD > 0 {
 			leadSpd += p.noise.NormFloat64() * p.cfg.SpeedNoiseSD
 		}
-		gap := leadPos - folPos
+		gap := s.leadPos - s.folPos
 		if p.cfg.GapNoiseSD > 0 {
 			gap += p.noise.NormFloat64() * p.cfg.GapNoiseSD
 		}
@@ -327,9 +363,9 @@ func (p *carFollowPlant) TrackingError(simtime.Time) float64 {
 }
 
 func (p *carFollowPlant) CoordSample(now simtime.Time, e, u, gamma float64) {
-	recAdd(p.rec, "tracking_err_sample", float64(now), e)
-	recAdd(p.rec, "u", float64(now), u)
-	recAdd(p.rec, "gamma", float64(now), gamma)
+	p.errSample.add(float64(now), e)
+	p.u.add(float64(now), u)
+	p.gamma.add(float64(now), gamma)
 }
 
 func (p *carFollowPlant) Step(now float64) {
@@ -340,34 +376,48 @@ func (p *carFollowPlant) Step(now float64) {
 	if err := p.follower.Step(step); err != nil {
 		panic(fmt.Sprintf("scenario: follower step: %v", err))
 	}
-	if err := p.recordHistory(now); err != nil {
-		panic(fmt.Sprintf("scenario: history: %v", err))
-	}
+	leadSpeed := p.lead.Speed()
+	p.recordHistory(now, leadSpeed)
 	gap := p.lead.Position - p.follower.Position
 	desired := p.gains.StandstillGap + p.gains.Headway*p.follower.Speed
 	p.collide.Note(now, gap)
 	if err := p.discomfort.Note(now, p.follower.Accel()); err != nil {
 		panic(fmt.Sprintf("scenario: discomfort: %v", err))
 	}
-	recAdd(p.rec, "lead_speed", now, p.lead.Speed())
-	recAdd(p.rec, "follow_speed", now, p.follower.Speed)
-	recAdd(p.rec, "speed_err", now, p.lead.Speed()-p.follower.Speed)
-	recAdd(p.rec, "gap", now, gap)
-	recAdd(p.rec, "dist_err", now, gap-desired)
+	speedErr, distErr := leadSpeed-p.follower.Speed, gap-desired
+	if now < p.cfg.Duration {
+		p.speedErrSq += speedErr * speedErr
+		p.distErrSq += distErr * distErr
+		p.errSteps++
+	}
+	p.leadSpeed.add(now, leadSpeed)
+	p.followSpeed.add(now, p.follower.Speed)
+	p.speedErr.add(now, speedErr)
+	p.gap.add(now, gap)
+	p.distErr.add(now, distErr)
 }
 
 func (p *carFollowPlant) Sample(t float64, env *Env) {
 	cmds := env.Eng.Stats().ControlCommands
-	recAdd(p.rec, "throughput", t, float64(cmds-p.lastCmds))
+	p.throughput.add(t, float64(cmds-p.lastCmds))
 	p.lastCmds = cmds
-	recAdd(p.rec, "response_ms", t, p.respWindow.Mean()*1000)
+	p.response.add(t, p.respWindow.Mean()*1000)
 	p.respWindow.Reset()
-	recAdd(p.rec, "discomfort", t, p.discomfort.Index())
-	recAdd(p.rec, "miss_ratio", t, env.Miss.Ratio(int(t)-1))
-	recAdd(p.rec, "queue_len", t, float64(env.Eng.QueueLen()))
-	recAdd(p.rec, "utilization", t, env.Eng.Utilization())
-	recAdd(p.rec, "rate_camera", t, env.Eng.SourceRate(env.Graph.TaskByName("camera_front").ID))
-	recAdd(p.rec, "rate_lidar", t, env.Eng.SourceRate(env.Graph.TaskByName("lidar_scan").ID))
+	p.discomfortIdx.add(t, p.discomfort.Index())
+	p.missRatio.add(t, env.Miss.Ratio(int(t)-1))
+	p.queueLen.add(t, float64(env.Eng.QueueLen()))
+	p.utilization.add(t, env.Eng.Utilization())
+	p.rateCamera.add(t, env.Eng.SourceRate(env.Graph.TaskByName("camera_front").ID))
+	p.rateLidar.add(t, env.Eng.SourceRate(env.Graph.TaskByName("lidar_scan").ID))
+}
+
+// rms is the root mean square of n values whose squares sum to sumSq, or 0
+// when there are none — trace.Series.RMS's arithmetic.
+func rms(sumSq float64, n int) float64 {
+	if n == 0 {
+		return 0
+	}
+	return math.Sqrt(sumSq / float64(n))
 }
 
 // CarFollowingRun is one car-following closed loop attached to an external
@@ -421,8 +471,12 @@ func (r *CarFollowingRun) Gap() float64 { return r.p.lead.Position - r.p.followe
 func (r *CarFollowingRun) TrackingError(now simtime.Time) float64 { return r.p.TrackingError(now) }
 
 // Rec returns the run's series recorder (live; fully populated only after
-// the owning queue reached Duration).
+// the owning queue reached Duration), or nil under DiscardSeries.
 func (r *CarFollowingRun) Rec() *trace.Recorder { return r.a.rec }
+
+// NextStep returns the pending event of the run's next vehicle-dynamics
+// tick: the only event that changes the state the live accessors expose.
+func (r *CarFollowingRun) NextStep() *simtime.Event { return r.a.step.Next() }
 
 // Finish collects the run's result. It must be called only after the owning
 // queue has been advanced to at least Duration.
@@ -440,8 +494,8 @@ func (r *CarFollowingRun) Finish() *CarFollowingResult {
 		MaxCommandGap: p.maxGap,
 		Overhead:      out.Overhead,
 	}
-	res.SpeedErrRMS = out.Rec.Series("speed_err").RMS(0, cfg.Duration)
-	res.DistErrRMS = out.Rec.Series("dist_err").RMS(0, cfg.Duration)
+	res.SpeedErrRMS = rms(p.speedErrSq, p.errSteps)
+	res.DistErrRMS = rms(p.distErrSq, p.errSteps)
 	res.MeanResponse = out.EngineStats.ControlResponse.Mean()
 	res.Throughput = float64(out.EngineStats.ControlCommands) / cfg.Duration
 	return res

@@ -152,7 +152,6 @@ type CombinedResult struct {
 // routes control commands by sink task name.
 type combinedPlant struct {
 	cfg *CombinedConfig
-	rec *trace.Recorder
 
 	gains    vehicle.CarFollower
 	follower *vehicle.Longitudinal
@@ -166,13 +165,22 @@ type combinedPlant struct {
 	histOffset, histHeading, histDist                    trace.Series
 
 	lonCmds, latCmds uint64
+
+	// Recorded series.
+	gamma, u, speedErr, offset, gap, missRatio series
 }
 
 func newCombinedPlant(cfg *CombinedConfig, rec *trace.Recorder) (*combinedPlant, error) {
 	p := &combinedPlant{
 		cfg:   cfg,
-		rec:   rec,
 		gains: vehicle.CarFollower{Kv: 5, Kg: 1, StandstillGap: 5, Headway: 1.2},
+
+		gamma:     series{rec: rec, name: "gamma"},
+		u:         series{rec: rec, name: "u"},
+		speedErr:  series{rec: rec, name: "speed_err"},
+		offset:    series{rec: rec, name: "offset"},
+		gap:       series{rec: rec, name: "gap"},
+		missRatio: series{rec: rec, name: "miss_ratio"},
 	}
 	var err error
 	if p.follower, err = vehicle.NewLongitudinal(vehicle.LongitudinalConfig{
@@ -250,8 +258,8 @@ func (p *combinedPlant) TrackingError(simtime.Time) float64 {
 }
 
 func (p *combinedPlant) CoordSample(now simtime.Time, e, u, gamma float64) {
-	recAdd(p.rec, "gamma", float64(now), gamma)
-	recAdd(p.rec, "u", float64(now), u)
+	p.gamma.add(float64(now), gamma)
+	p.u.add(float64(now), u)
 }
 
 func (p *combinedPlant) Step(now float64) {
@@ -268,13 +276,13 @@ func (p *combinedPlant) Step(now float64) {
 	if err := p.recordHistory(now); err != nil {
 		panic(fmt.Sprintf("scenario: history: %v", err))
 	}
-	recAdd(p.rec, "speed_err", now, p.lead.Speed()-p.follower.Speed)
-	recAdd(p.rec, "offset", now, p.lat.Y)
-	recAdd(p.rec, "gap", now, p.lead.Position-p.follower.Position)
+	p.speedErr.add(now, p.lead.Speed()-p.follower.Speed)
+	p.offset.add(now, p.lat.Y)
+	p.gap.add(now, p.lead.Position-p.follower.Position)
 }
 
 func (p *combinedPlant) Sample(t float64, env *Env) {
-	recAdd(p.rec, "miss_ratio", t, env.Miss.Ratio(int(t)-1))
+	p.missRatio.add(t, env.Miss.Ratio(int(t)-1))
 }
 
 // RunCombined executes the dual-control scenario.

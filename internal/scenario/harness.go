@@ -160,6 +160,9 @@ type loopConfig struct {
 	// the paper defaults (core.DefaultTunables), so a zero value is
 	// byte-identical to the pre-tunables behaviour.
 	Tunables core.Tunables
+	// DiscardSeries hands the plant a nil recorder: nothing is recorded
+	// and the result's Rec is nil.
+	DiscardSeries bool
 }
 
 // loopResult is what the kernel hands back; plants keep their own
@@ -182,6 +185,7 @@ type attachedLoop struct {
 	eng   *engine.Engine
 	coord *core.Coordinator
 	plant Plant
+	step  *simtime.Ticker // the vehicle-dynamics ticker
 }
 
 // finish collects the loop's result after the owning queue has been run to
@@ -272,7 +276,10 @@ func attachLoop(q *simtime.EventQueue, lc loopConfig, build func(rec *trace.Reco
 		samplePeriod = 1 / lc.SampleRate
 	}
 
-	rec := trace.NewRecorder()
+	var rec *trace.Recorder
+	if !lc.DiscardSeries {
+		rec = trace.NewRecorder()
+	}
 	plant, err := build(rec)
 	if err != nil {
 		return nil, err
@@ -342,9 +349,10 @@ func attachLoop(q *simtime.EventQueue, lc loopConfig, build func(rec *trace.Reco
 	}
 
 	// Vehicle dynamics loop.
-	if _, err := q.NewTicker(simtime.Time(lc.VehicleStep), simtime.Duration(lc.VehicleStep), func(now simtime.Time) {
+	step, err := q.NewTicker(simtime.Time(lc.VehicleStep), simtime.Duration(lc.VehicleStep), func(now simtime.Time) {
 		plant.Step(float64(now))
-	}); err != nil {
+	})
+	if err != nil {
 		return nil, err
 	}
 	// Summary series.
@@ -362,7 +370,7 @@ func attachLoop(q *simtime.EventQueue, lc loopConfig, build func(rec *trace.Reco
 			return nil, err
 		}
 	}
-	return &attachedLoop{lc: lc, rec: rec, miss: miss, eng: eng, coord: coord, plant: plant}, nil
+	return &attachedLoop{lc: lc, rec: rec, miss: miss, eng: eng, coord: coord, plant: plant, step: step}, nil
 }
 
 // applyLoadSteps wraps the named task's execution model in a load profile.
@@ -397,10 +405,27 @@ func applyRateOverrides(g *dag.Graph, overrides map[string]float64) error {
 	return g.Validate()
 }
 
-// recAdd appends to a recorder series; recorder series only ever advance
-// with simulation time, so failures indicate harness bugs.
-func recAdd(rec *trace.Recorder, name string, t, v float64) {
-	if err := rec.Add(name, t, v); err != nil {
-		panic(fmt.Sprintf("scenario: record %s: %v", name, err))
+// series is a plant's append handle on one recorder series. It resolves
+// its name to the trace.Series on the first append — exactly when a
+// name-keyed Recorder.Add would create it, so the recorder's creation
+// order, and with it CSV column order and every digest, is unchanged — and
+// appends directly from then on. A handle on a nil recorder discards.
+type series struct {
+	rec  *trace.Recorder
+	name string
+	s    *trace.Series
+}
+
+// add appends one sample; recorder series only ever advance with
+// simulation time, so failures indicate harness bugs.
+func (h *series) add(t, v float64) {
+	if h.s == nil {
+		if h.rec == nil {
+			return
+		}
+		h.s = h.rec.Open(h.name)
+	}
+	if err := h.s.Add(t, v); err != nil {
+		panic(fmt.Sprintf("scenario: record %s: %v", h.name, err))
 	}
 }

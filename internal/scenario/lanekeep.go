@@ -179,7 +179,6 @@ func laneKeepingRateConfig() rate.Config {
 // steered along a closed track from stale pipeline outputs.
 type laneKeepPlant struct {
 	cfg   *LaneKeepingConfig
-	rec   *trace.Recorder
 	noise *rand.Rand
 	gains vehicle.LaneKeeper
 
@@ -190,14 +189,25 @@ type laneKeepPlant struct {
 	histOffset, histHeading, histDistance trace.Series
 
 	lastCmds uint64
+
+	// Recorded series.
+	errSample, u, gamma, offset, heading, curvature, throughput, missRatio series
 }
 
 func newLaneKeepPlant(cfg *LaneKeepingConfig, rec *trace.Recorder) (*laneKeepPlant, error) {
 	p := &laneKeepPlant{
 		cfg:   cfg,
-		rec:   rec,
 		noise: rand.New(rand.NewSource(cfg.Seed ^ 0x1a4e)),
 		gains: cfg.KeeperGains,
+
+		errSample:  series{rec: rec, name: "tracking_err_sample"},
+		u:          series{rec: rec, name: "u"},
+		gamma:      series{rec: rec, name: "gamma"},
+		offset:     series{rec: rec, name: "offset"},
+		heading:    series{rec: rec, name: "heading"},
+		curvature:  series{rec: rec, name: "curvature"},
+		throughput: series{rec: rec, name: "throughput"},
+		missRatio:  series{rec: rec, name: "miss_ratio"},
 	}
 	var err error
 	if p.lat, err = vehicle.NewLateral(cfg.Lateral); err != nil {
@@ -241,9 +251,9 @@ func (p *laneKeepPlant) Perceive(cmd engine.ControlCommand) {
 func (p *laneKeepPlant) TrackingError(simtime.Time) float64 { return math.Abs(p.lat.Y) }
 
 func (p *laneKeepPlant) CoordSample(now simtime.Time, e, u, gamma float64) {
-	recAdd(p.rec, "tracking_err_sample", float64(now), e)
-	recAdd(p.rec, "u", float64(now), u)
-	recAdd(p.rec, "gamma", float64(now), gamma)
+	p.errSample.add(float64(now), e)
+	p.u.add(float64(now), u)
+	p.gamma.add(float64(now), gamma)
 }
 
 func (p *laneKeepPlant) Step(now float64) {
@@ -256,16 +266,16 @@ func (p *laneKeepPlant) Step(now float64) {
 	if err := p.recordHistory(now); err != nil {
 		panic(fmt.Sprintf("scenario: history: %v", err))
 	}
-	recAdd(p.rec, "offset", now, p.lat.Y)
-	recAdd(p.rec, "heading", now, p.lat.Psi)
-	recAdd(p.rec, "curvature", now, curv)
+	p.offset.add(now, p.lat.Y)
+	p.heading.add(now, p.lat.Psi)
+	p.curvature.add(now, curv)
 }
 
 func (p *laneKeepPlant) Sample(t float64, env *Env) {
 	cmds := env.Eng.Stats().ControlCommands
-	recAdd(p.rec, "throughput", t, float64(cmds-p.lastCmds))
+	p.throughput.add(t, float64(cmds-p.lastCmds))
 	p.lastCmds = cmds
-	recAdd(p.rec, "miss_ratio", t, env.Miss.Ratio(int(t)-1))
+	p.missRatio.add(t, env.Miss.Ratio(int(t)-1))
 }
 
 // RunLaneKeeping executes one loop-driving run.

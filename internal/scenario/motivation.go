@@ -153,7 +153,6 @@ type MotivationResult struct {
 // car A's drive-by-wire watchdog coasts whenever the pipeline stalls.
 type motivationPlant struct {
 	cfg   *MotivationConfig
-	rec   *trace.Recorder
 	gains vehicle.CarFollower
 
 	follower *vehicle.Longitudinal
@@ -164,15 +163,23 @@ type motivationPlant struct {
 	collide   metrics.CollisionDetector
 	minGap    float64
 	lastCmdAt float64
+
+	// Recorded series.
+	leadSpeed, followSpeed, speedDiff, gap, missRatio series
 }
 
 func newMotivationPlant(cfg *MotivationConfig, rec *trace.Recorder) (*motivationPlant, error) {
 	const initSpeed = 10.0
 	p := &motivationPlant{
 		cfg:    cfg,
-		rec:    rec,
 		gains:  vehicle.CarFollower{Kv: 5, Kg: 1, StandstillGap: 5, Headway: 1.2},
 		minGap: math.Inf(1),
+
+		leadSpeed:   series{rec: rec, name: "lead_speed"},
+		followSpeed: series{rec: rec, name: "follow_speed"},
+		speedDiff:   series{rec: rec, name: "speed_diff"},
+		gap:         series{rec: rec, name: "gap"},
+		missRatio:   series{rec: rec, name: "miss_ratio"},
 	}
 	long := vehicle.LongitudinalConfig{MaxAccel: 6, MaxBrake: 8, ActuatorTau: 0.1, MaxSpeed: 40}
 	var err error
@@ -256,14 +263,14 @@ func (p *motivationPlant) Step(now float64) {
 		p.minGap = gap
 	}
 	p.collide.Note(now, gap)
-	recAdd(p.rec, "lead_speed", now, p.lead.Speed())
-	recAdd(p.rec, "follow_speed", now, p.follower.Speed)
-	recAdd(p.rec, "speed_diff", now, p.follower.Speed-p.lead.Speed())
-	recAdd(p.rec, "gap", now, gap)
+	p.leadSpeed.add(now, p.lead.Speed())
+	p.followSpeed.add(now, p.follower.Speed)
+	p.speedDiff.add(now, p.follower.Speed-p.lead.Speed())
+	p.gap.add(now, gap)
 }
 
 func (p *motivationPlant) Sample(t float64, env *Env) {
-	recAdd(p.rec, "miss_ratio", t, env.Miss.Ratio(int(t)-1))
+	p.missRatio.add(t, env.Miss.Ratio(int(t)-1))
 }
 
 // RunMotivation executes the red-light scenario on the Fig. 2 task graph.

@@ -3,12 +3,14 @@ package simtime
 import "testing"
 
 // firing is one observed event execution: the instant it ran, the queue's
-// sequence-derived tag, and the firing ordinal. Comparing slices of firings
-// across schedulers pins bit-for-bit (At, seq) equivalence.
+// sequence-derived tag, the firing ordinal and the instant the event was
+// scheduled at. Comparing slices of firings across schedulers pins
+// bit-for-bit (At, seq) equivalence.
 type firing struct {
-	At  Time
-	Tag int
-	Ord int
+	At    Time
+	Tag   int
+	Ord   int
+	Sched Time
 }
 
 // runSchedulerScript interprets script as a deterministic stream of
@@ -33,7 +35,7 @@ func runSchedulerScript(q *EventQueue, script []byte) []firing {
 	note := func(id int) func(Time) {
 		return func(now Time) {
 			firedTags[id] = true
-			fired = append(fired, firing{now, id, len(fired)})
+			fired = append(fired, firing{now, id, len(fired), q.ScheduledAt()})
 		}
 	}
 	for i := 0; i+2 < len(script) && len(fired) < 1<<14; i += 3 {
@@ -87,7 +89,18 @@ func runSchedulerScript(q *EventQueue, script []byte) []firing {
 			if err := q.RunUntil(q.Now() + Duration(a)/16); err != nil && err != ErrHalted {
 				panic(err)
 			}
-		case 6: // step a few events, occasionally halting a nested run
+		case 6: // step a few events, or run up to a near pending one
+			if a >= 128 {
+				for _, h := range pending {
+					if !firedTags[h.tag] && h.ev.Pending() && h.ev.At <= q.Now()+16 {
+						if err := q.RunBefore(h.ev); err != nil {
+							panic(err)
+						}
+						break
+					}
+				}
+				break
+			}
 			for n := 0; n < int(a%8); n++ {
 				if !q.Step() {
 					break
@@ -115,6 +128,7 @@ func FuzzSchedulerEquivalence(f *testing.F) {
 	f.Add([]byte{0, 251, 9, 0, 251, 9, 2, 0, 0, 5, 255, 0})
 	f.Add([]byte{0, 17, 1, 0, 34, 1, 0, 51, 1, 6, 7, 0})
 	f.Add([]byte{1, 85, 3, 3, 12, 128, 5, 90, 0, 2, 1, 0, 5, 255, 0})
+	f.Add([]byte{0, 40, 3, 0, 17, 0, 3, 9, 4, 0, 80, 1, 6, 200, 0, 6, 3, 0, 5, 255, 0})
 	f.Fuzz(func(t *testing.T, script []byte) {
 		wheel := runSchedulerScript(NewEventQueue(), script)
 		heap := runSchedulerScript(NewHeapEventQueue(), script)

@@ -22,11 +22,11 @@ func (s *heapScheduler) pop() *Event {
 	return heap.Pop(&s.h).(*Event)
 }
 
-func (s *heapScheduler) peekAt() (Time, bool) {
+func (s *heapScheduler) peek() *Event {
 	if len(s.h) == 0 {
-		return 0, false
+		return nil
 	}
-	return s.h[0].At, true
+	return s.h[0]
 }
 
 func (s *heapScheduler) cancel(ev *Event) {

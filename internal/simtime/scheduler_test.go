@@ -225,3 +225,69 @@ func TestHeapAndWheelIdenticalSequences(t *testing.T) {
 		t.Fatalf("wheel fired %d events, heap fired %d; sequences differ", len(wheel), len(heap))
 	}
 }
+
+// TestRunBeforeSplitsSameInstant pins RunBefore on both schedulers: it runs
+// exactly the events (At, seq)-ordered before the target — earlier instants
+// and same-instant events scheduled first — leaves the target as the next
+// event to fire, and ScheduledAt reports each firing event's schedule time.
+func TestRunBeforeSplitsSameInstant(t *testing.T) {
+	both(t, func(t *testing.T, q *EventQueue) {
+		var got []string
+		note := func(name string) func(Time) {
+			return func(now Time) {
+				got = append(got, fmt.Sprintf("%s@%g/%g", name, float64(now), float64(q.ScheduledAt())))
+			}
+		}
+		mustSchedule := func(at Time, fn func(Time)) *Event {
+			t.Helper()
+			ev, err := q.Schedule(at, fn)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return ev
+		}
+		mustSchedule(1, note("a"))
+		mustSchedule(0.5, func(now Time) {
+			note("b")(now)
+			mustSchedule(2, note("late")) // scheduled at 0.5, after the target
+		})
+		mustSchedule(0, note("x"))
+		tk, err := q.NewTicker(2, 1, note("tick"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		mustSchedule(2, note("after"))
+		next := tk.Next()
+		if err := q.RunBefore(next); err != nil {
+			t.Fatal(err)
+		}
+		want := []string{"x@0/0", "b@0.5/0", "a@1/0"}
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("RunBefore fired %v, want %v", got, want)
+		}
+		if !next.Pending() {
+			t.Fatal("RunBefore fired its target")
+		}
+		got = nil
+		if !q.Step() || fmt.Sprint(got) != "[tick@2/0]" {
+			t.Fatalf("the step after RunBefore fired %v, want the target tick", got)
+		}
+		// Same-instant events scheduled after the tick run after it, in
+		// scheduling order; the next tick is scheduled at the tick that
+		// queued it.
+		if err := q.RunBefore(tk.Next()); err != nil {
+			t.Fatal(err)
+		}
+		if fmt.Sprint(got) != "[tick@2/0 after@2/0 late@2/0.5]" {
+			t.Fatalf("second RunBefore fired %v", got)
+		}
+		got = nil
+		if !q.Step() || fmt.Sprint(got) != "[tick@3/2]" {
+			t.Fatalf("third step fired %v, want the tick scheduled at 2", got)
+		}
+		tk.Stop()
+		if err := q.RunBefore(tk.Next()); err == nil {
+			t.Fatal("RunBefore on a stopped ticker's nil event succeeded")
+		}
+	})
+}

@@ -1,10 +1,11 @@
 // Package simtime provides a deterministic discrete-event simulation kernel:
 // a virtual clock, a time-ordered event queue, and periodic timers.
 //
-// All HCPerf simulation components (task engine, vehicle dynamics,
-// coordinators) schedule work on a single EventQueue and observe the same
-// virtual clock, which makes every run exactly reproducible for a given
-// seed and configuration.
+// All HCPerf simulation components of one vehicle (task engine, vehicle
+// dynamics, coordinators) schedule work on a single EventQueue and observe
+// the same virtual clock, which makes every run exactly reproducible for a
+// given seed and configuration. A fleet gives each vehicle its own queue
+// and advances the queues step by step with RunBefore (see internal/fleet).
 //
 // The pending-event store behind an EventQueue is pluggable (see Scheduler):
 // the default is a hierarchical timer wheel tuned for the periodic-tick
@@ -69,6 +70,7 @@ type Event struct {
 	At Time
 	Fn func(now Time)
 
+	sched Time // the queue's clock when Schedule queued the event
 	seq   uint64
 	index int    // pending position (scheduler-defined) or terminal state
 	next  *Event // intrusive slot-list link while parked in a wheel slot
@@ -98,8 +100,9 @@ type Scheduler interface {
 	// pop removes and returns the earliest (At, seq) live event, marking
 	// it fired, or returns nil when no live events remain.
 	pop() *Event
-	// peekAt returns the instant of the earliest live event.
-	peekAt() (Time, bool)
+	// peek returns the earliest (At, seq) live event without removing it,
+	// or nil when no live events remain.
+	peek() *Event
 	// cancel marks a pending event cancelled. The caller guarantees the
 	// event is pending on this scheduler.
 	cancel(ev *Event)
@@ -116,6 +119,8 @@ type EventQueue struct {
 	seq    uint64
 	halted bool
 	fired  uint64
+	// sched is the instant the currently firing event was scheduled at.
+	sched Time
 	// free recycles terminal event records so steady-state
 	// Schedule/Cancel/Step allocates nothing.
 	free []*Event
@@ -146,6 +151,14 @@ func (q *EventQueue) Len() int { return q.sch.size() }
 
 // Fired returns the total number of events executed so far.
 func (q *EventQueue) Fired() uint64 { return q.fired }
+
+// ScheduledAt returns the virtual instant at which the event now firing was
+// scheduled (the queue's Now when Schedule queued it; a ticker's next tick is
+// scheduled at the tick before it). Outside an event callback it describes
+// the last event that fired. Two events at one instant fire in the order
+// they were scheduled, so a caller that knows when a competing event was
+// scheduled can tell which of the two a global (At, seq) order puts first.
+func (q *EventQueue) ScheduledAt() Time { return q.sched }
 
 // alloc takes an event record off the freelist, or allocates one.
 func (q *EventQueue) alloc() *Event {
@@ -183,6 +196,7 @@ func (q *EventQueue) Schedule(at Time, fn func(now Time)) (*Event, error) {
 	ev := q.alloc()
 	ev.At = at
 	ev.Fn = fn
+	ev.sched = q.now
 	ev.seq = q.seq
 	q.seq++
 	q.sch.push(ev)
@@ -218,6 +232,7 @@ func (q *EventQueue) Step() bool {
 		return false
 	}
 	q.now = ev.At
+	q.sched = ev.sched
 	q.fired++
 	fn := ev.Fn
 	fn(q.now)
@@ -244,11 +259,30 @@ func (q *EventQueue) Run() error {
 func (q *EventQueue) RunUntil(end Time) error {
 	q.halted = false
 	for !q.halted {
-		at, ok := q.sch.peekAt()
-		if !ok || at > end {
+		ev := q.sch.peek()
+		if ev == nil || ev.At > end {
 			if end > q.now {
 				q.now = end
 			}
+			return nil
+		}
+		q.Step()
+	}
+	return ErrHalted
+}
+
+// RunBefore executes, in (At, seq) order, every event ordered before next,
+// a pending event of this queue, and leaves next queued as the earliest
+// event: the following Step fires it. next must stay pending until it is
+// reached. It returns ErrHalted if halted, and an error if next is not
+// pending.
+func (q *EventQueue) RunBefore(next *Event) error {
+	q.halted = false
+	for !q.halted {
+		if next == nil || next.index < 0 {
+			return errors.New("simtime: RunBefore on an event that is not pending")
+		}
+		if q.sch.peek() == next {
 			return nil
 		}
 		q.Step()
@@ -320,6 +354,10 @@ func (t *Ticker) SetPeriod(period Duration) error {
 
 // Period returns the current tick interval.
 func (t *Ticker) Period() Duration { return t.period }
+
+// Next returns the pending event of the next tick, or nil once the ticker
+// is stopped. The handle is valid until that tick fires.
+func (t *Ticker) Next() *Event { return t.next }
 
 // Stop cancels all future ticks.
 func (t *Ticker) Stop() {

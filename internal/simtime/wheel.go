@@ -126,11 +126,11 @@ func (w *wheelScheduler) pop() *Event {
 	return ev
 }
 
-func (w *wheelScheduler) peekAt() (Time, bool) {
+func (w *wheelScheduler) peek() *Event {
 	if !w.ensure() {
-		return 0, false
+		return nil
 	}
-	return w.drain[0].At, true
+	return w.drain[0]
 }
 
 func (w *wheelScheduler) cancel(ev *Event) {

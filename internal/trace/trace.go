@@ -126,13 +126,21 @@ func (r *Recorder) Add(name string, t, v float64) error {
 	if name == "" {
 		return errors.New("trace: empty series name")
 	}
+	return r.Open(name).Add(t, v)
+}
+
+// Open returns the named series, creating it empty — last in creation
+// order — if absent. A caller that appends often keeps the returned series
+// and appends to it directly instead of paying Add's name lookup per
+// sample.
+func (r *Recorder) Open(name string) *Series {
 	s, ok := r.series[name]
 	if !ok {
 		s = &Series{Name: name}
 		r.series[name] = s
 		r.order = append(r.order, name)
 	}
-	return s.Add(t, v)
+	return s
 }
 
 // Series returns the named series, or nil if absent.

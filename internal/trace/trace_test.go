@@ -102,6 +102,31 @@ func TestRecorder(t *testing.T) {
 	}
 }
 
+// TestRecorderOpen pins Open: it returns the series Add appends to, and a
+// series it creates takes its place in creation order at the Open call.
+func TestRecorderOpen(t *testing.T) {
+	r := NewRecorder()
+	if err := r.Add("a", 0, 1); err != nil {
+		t.Fatal(err)
+	}
+	if r.Open("a") != r.Series("a") {
+		t.Error("Open returned a different series than Add appended to")
+	}
+	b := r.Open("b")
+	if err := r.Add("c", 0, 3); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.Add(0, 2); err != nil {
+		t.Fatal(err)
+	}
+	if got := r.Names(); len(got) != 3 || got[0] != "a" || got[1] != "b" || got[2] != "c" {
+		t.Errorf("Names = %v, want [a b c]", got)
+	}
+	if r.Series("b").Len() != 1 {
+		t.Error("append through the opened series not recorded")
+	}
+}
+
 func TestWriteCSV(t *testing.T) {
 	r := NewRecorder()
 	if err := r.Add("a", 0, 1.5); err != nil {
