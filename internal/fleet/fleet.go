@@ -10,8 +10,9 @@
 //     same-instant events fire in creation order. The reference runner
 //     does just that. The default runner gives each vehicle its own queue
 //     and advances the fleet one vehicle step T_k at a time: in phase A,
-//     min(GOMAXPROCS, N) workers each run a contiguous block of vehicles
-//     up to (not including) each vehicle's pending dynamics tick at T_k;
+//     workers (up to GOMAXPROCS, one per block of at least minBlock
+//     vehicles) each run a contiguous block of vehicles up to (not
+//     including) each vehicle's pending dynamics tick at T_k;
 //     the fleet sampler then runs up to T_k; in phase B the runner fires
 //     the ticks serially in platoon order. Vehicles observe each other
 //     only through plant state that changes at those ticks, so this is
@@ -94,9 +95,6 @@ type Config struct {
 	// interleaved in virtual-time order. A traced fleet runs on the
 	// single-queue reference runner.
 	Tracer lifecycle.Tracer
-	// VehicleSeries keeps each vehicle's own series recorder in
-	// Result.VehicleRecs. Off by default: no fleet output reads them.
-	VehicleSeries bool
 }
 
 // VehicleSeed derives vehicle i's seed from the fleet seed with a
@@ -180,15 +178,17 @@ type Result struct {
 	Collisions int
 	// Rec holds the fleet-level aggregate series (fleet_err_mean,
 	// fleet_err_p95, fleet_err_max, fleet_gap_min), sampled once per
-	// summary period.
+	// summary period. Fleet vehicles record no series of their own: no
+	// fleet output reads them.
 	Rec *trace.Recorder
-	// VehicleRecs holds each vehicle's own series recorder, in fleet
-	// order (the same series a single-vehicle run records), when
-	// Config.VehicleSeries is set; nil otherwise.
-	VehicleRecs []*trace.Recorder
 
-	// fellBack records that a tie sent the run to the reference runner.
+	// vehicleRecs holds each vehicle's own series recorder, in fleet
+	// order, for a plan that keeps them; nil otherwise.
+	vehicleRecs []*trace.Recorder
+	// fellBack records that a tie sent the run to the reference runner;
+	// workers is how many workers the parallel runner stepped it on.
 	fellBack bool
+	workers  int
 }
 
 // predProfile exposes a predecessor vehicle's simulated speed as its
@@ -227,22 +227,32 @@ var errTie = errors.New("fleet: predecessor read tied with a step instant")
 // been scheduled after the predecessor's tick of that instant, so its
 // predecessor read is a tie. The fleet sampler runs between the phases and
 // sees every vehicle as of T_{k-1}; a sample at T_k is a tie unless it was
-// scheduled before T_{k-1}.
+// scheduled before T_{k-1}. Both cases are one rule: a read at T_k, before
+// phase B, by an event scheduled at or after T_{k-1}.
 type tieWatch struct {
-	// step and prev are T_k and T_{k-1}; phaseA is set while workers run.
-	// The runner writes them between phases only.
+	// step and prev are T_k and T_{k-1}; armed is set while phase A's
+	// workers and then the sampler run, and clear in phase B, whose ticks
+	// fire in shared-queue order. The runner writes them between phases
+	// only.
 	step, prev simtime.Time
-	phaseA     bool
+	armed      bool
 	tie        atomic.Bool
 }
 
-// read notes a cross-vehicle read by the event now firing on q. A nil
-// watch (the reference runner) ignores it.
+// read notes a cross-vehicle read by the event now firing on q: a
+// predecessor read by a vehicle event, or the fleet sampler. A nil watch
+// (the reference runner) ignores it.
 func (w *tieWatch) read(q *simtime.EventQueue) {
-	if w != nil && w.phaseA && q.Now() == w.step && q.ScheduledAt() >= w.prev {
+	if w != nil && w.armed && q.Now() == w.step && q.ScheduledAt() >= w.prev {
 		w.tie.Store(true)
 	}
 }
+
+// minBlock is the fewest vehicles the parallel runner gives a worker of
+// their own. Each vehicle step hands every extra worker its block and
+// waits for it; on a 2-vCPU VM that hand-off costs tens of microseconds,
+// more than stepping a smaller block saves (EXPERIMENTS.md).
+const minBlock = 96
 
 // plan is a validated Config with its defaults resolved.
 type plan struct {
@@ -254,6 +264,12 @@ type plan struct {
 	// shared is the obstacle field every vehicle drives through; coupling
 	// terms stack on top per follower.
 	shared func(t float64) int
+	// block is the fewest vehicles per parallel worker (minBlock; the
+	// package's tests lower it to run small fleets on several workers).
+	block int
+	// series keeps each vehicle's own series recorder. Only the package's
+	// metamorphic tests set it, to compare histories with single runs.
+	series bool
 }
 
 func newPlan(cfg Config) (*plan, error) {
@@ -261,7 +277,7 @@ func newPlan(cfg Config) (*plan, error) {
 		return nil, fmt.Errorf("fleet: N %d < 1", cfg.N)
 	}
 	p := &plan{cfg: cfg, coupling: cfg.Coupling, brakeThreshold: cfg.BrakeThreshold,
-		brakeObstacles: cfg.BrakeObstacles, shared: cfg.Base.Obstacles}
+		brakeObstacles: cfg.BrakeObstacles, shared: cfg.Base.Obstacles, block: minBlock}
 	if p.coupling == "" {
 		p.coupling = scenario.FleetCouplingNone
 	}
@@ -304,7 +320,11 @@ func Run(cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	if cfg.Tracer == nil {
+	return p.run()
+}
+
+func (p *plan) run() (*Result, error) {
+	if p.cfg.Tracer == nil {
 		res, err := p.runParallel()
 		if !errors.Is(err, errTie) {
 			return res, err
@@ -312,9 +332,15 @@ func Run(cfg Config) (*Result, error) {
 	}
 	res, err := p.runShared()
 	if res != nil {
-		res.fellBack = cfg.Tracer == nil
+		res.fellBack = p.cfg.Tracer == nil
 	}
 	return res, err
+}
+
+// workers is the parallel runner's worker count: one per block of at
+// least p.block vehicles, at most GOMAXPROCS, at least one.
+func (p *plan) workers() int {
+	return max(1, min(runtime.GOMAXPROCS(0), p.cfg.N/p.block))
 }
 
 // attach wires the fleet's vehicles in platoon order, vehicle i onto
@@ -327,7 +353,7 @@ func (p *plan) attach(queue func(i int) *simtime.EventQueue, watch *tieWatch) ([
 		vcfg.Seed = p.seeds[i]
 		vcfg.Obstacles = p.shared
 		vcfg.Tracer = p.cfg.Tracer
-		vcfg.DiscardSeries = !p.cfg.VehicleSeries
+		vcfg.DiscardSeries = !p.series
 		if p.coupling == scenario.FleetCouplingPlatoon && i > 0 {
 			pred, shared := runs[i-1], p.shared
 			threshold, bump := p.brakeThreshold, p.brakeObstacles
@@ -424,41 +450,41 @@ func (p *plan) runParallel() (*Result, error) {
 	sq := simtime.NewEventQueue()
 	period := p.samplePeriod()
 	if _, err := sq.NewTicker(period, period, func(now simtime.Time) {
-		if now == w.step && sq.ScheduledAt() >= w.prev {
-			w.tie.Store(true)
-		}
+		w.read(sq)
 		sample(now)
 	}); err != nil {
 		return nil, fmt.Errorf("fleet: sampler: %w", err)
 	}
 
 	end := simtime.Time(runs[0].Duration())
-	pool := newPool(min(runtime.GOMAXPROCS(0), p.cfg.N), p.cfg.N)
+	workers := p.workers()
+	pool := newPool(workers, p.cfg.N)
 	defer pool.close()
 	for {
 		// Every vehicle steps on the same grid, so vehicle 0's pending
 		// tick is T_k for the whole fleet.
 		w.step = runs[0].NextStep().At
 		last := w.step > end
-		w.phaseA = true
-		err := pool.each(func(i int) error {
+		w.armed = true
+		if err := pool.each(func(i int) error {
 			if last {
 				return queues[i].RunUntil(end)
 			}
 			return queues[i].RunBefore(runs[i].NextStep())
-		})
-		w.phaseA = false
-		if err != nil {
+		}); err != nil {
 			return nil, fmt.Errorf("fleet: run: %w", err)
 		}
 		if err := sq.RunUntil(min(w.step, end)); err != nil {
 			return nil, fmt.Errorf("fleet: sampler: %w", err)
 		}
+		w.armed = false
 		if w.tie.Load() {
 			return nil, errTie
 		}
 		if last {
-			return p.collect(runs, rec), nil
+			res := p.collect(runs, rec)
+			res.workers = workers
+			return res, nil
 		}
 		for _, q := range queues {
 			q.Step() // phase B: the tick RunBefore stopped at
@@ -476,8 +502,8 @@ func (p *plan) collect(runs []*scenario.CarFollowingRun, rec *trace.Recorder) *R
 		Vehicles: make([]VehicleStats, p.cfg.N),
 		Rec:      rec,
 	}
-	if p.cfg.VehicleSeries {
-		res.VehicleRecs = make([]*trace.Recorder, p.cfg.N)
+	if p.series {
+		res.vehicleRecs = make([]*trace.Recorder, p.cfg.N)
 	}
 	speed := make([]float64, p.cfg.N)
 	dist := make([]float64, p.cfg.N)
@@ -494,8 +520,8 @@ func (p *plan) collect(runs []*scenario.CarFollowingRun, rec *trace.Recorder) *R
 			MeanResponse: out.MeanResponse,
 			Collision:    out.Collision,
 		}
-		if res.VehicleRecs != nil {
-			res.VehicleRecs[i] = out.Rec
+		if res.vehicleRecs != nil {
+			res.vehicleRecs[i] = out.Rec
 		}
 		speed[i], dist[i], miss[i] = out.SpeedErrRMS, out.DistErrRMS, res.Vehicles[i].MissRatio
 		if out.Collision {

@@ -212,11 +212,10 @@ func TestVehiclePermutationInvariance(t *testing.T) {
 // exactly.
 func TestFleetN1EquivalentToSingle(t *testing.T) {
 	const seed = 77
-	res, err := fleet.Run(fleet.Config{
-		Base:          scenario.CarFollowingConfig{Scheme: scenario.SchemeHCPerf, Duration: 5},
-		N:             1,
-		VehicleSeeds:  []int64{seed},
-		VehicleSeries: true,
+	res, err := fleet.RunWithSeries(fleet.Config{
+		Base:         scenario.CarFollowingConfig{Scheme: scenario.SchemeHCPerf, Duration: 5},
+		N:            1,
+		VehicleSeeds: []int64{seed},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -227,7 +226,7 @@ func TestFleetN1EquivalentToSingle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := recDigest(t, res.VehicleRecs[0]), recDigest(t, single.Rec); got != want {
+	if got, want := recDigest(t, fleet.VehicleRecs(res)[0]), recDigest(t, single.Rec); got != want {
 		t.Errorf("N=1 fleet vehicle series digest %s != single-vehicle run %s", got, want)
 	}
 	v := res.Vehicles[0]
@@ -246,11 +245,10 @@ func TestFleetN1EquivalentToSingle(t *testing.T) {
 // an RNG touched by a neighbour — breaks byte identity here.
 func TestFleetOfKEqualsKSingles(t *testing.T) {
 	seeds := []int64{101, 202, 303}
-	res, err := fleet.Run(fleet.Config{
-		Base:          scenario.CarFollowingConfig{Scheme: scenario.SchemeHCPerf, Duration: 5},
-		N:             len(seeds),
-		VehicleSeeds:  seeds,
-		VehicleSeries: true,
+	res, err := fleet.RunWithSeries(fleet.Config{
+		Base:         scenario.CarFollowingConfig{Scheme: scenario.SchemeHCPerf, Duration: 5},
+		N:            len(seeds),
+		VehicleSeeds: seeds,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -262,7 +260,7 @@ func TestFleetOfKEqualsKSingles(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got, want := recDigest(t, res.VehicleRecs[i]), recDigest(t, single.Rec); got != want {
+		if got, want := recDigest(t, fleet.VehicleRecs(res)[i]), recDigest(t, single.Rec); got != want {
 			t.Errorf("vehicle %d (seed %d): fleet series digest %s != independent run %s", i, seed, got, want)
 		}
 	}
@@ -272,28 +270,30 @@ func TestFleetOfKEqualsKSingles(t *testing.T) {
 // detector (CI's focused race job runs this package with -race): N=64
 // platoons in parallel goroutines must neither race nor diverge from the
 // serial digest. This is the audit for the engine's dense task-indexed
-// slices and per-loop solver reuse at fleet scale. With GOMAXPROCS of at
-// least 2 every fleet also steps on parallel workers, whose phase A reads
-// a predecessor that another worker is stepping across each block
-// boundary.
+// slices and per-loop solver reuse at fleet scale. First, with GOMAXPROCS
+// of at least 2, one platoon steps on a parallel worker per vehicle block
+// and must equal the reference runner: its phase A reads a predecessor
+// that another worker is stepping across each block boundary.
 func TestFleetConcurrentRace(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(max(2, runtime.GOMAXPROCS(0))))
 	n := 64
 	if testing.Short() {
 		n = 8
 	}
-	res, err := fleet.Run(fleet.Config{
+	cfg := fleet.Config{
 		Base:     scenario.CarFollowingConfig{Scheme: scenario.SchemeHCPerf, Duration: 5},
 		N:        n,
 		Coupling: scenario.FleetCouplingPlatoon,
 		Spacing:  18,
 		Seed:     9,
-	})
+	}
+	ref, err := fleet.RunReference(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fleet.FellBack(res) {
-		t.Fatal("platoon fell back to the reference runner; the race audit would miss the parallel path")
+	if res := assertSameAsReference(t, cfg, ref); fleet.FellBack(res) || fleet.Workers(res) < 2 {
+		t.Fatalf("platoon stepped on %d workers (fell back: %v); the race audit would miss the parallel path",
+			fleet.Workers(res), fleet.FellBack(res))
 	}
 	want := specDigest(t, platoonSpec(n, 9))
 	const fleets = 3

@@ -33,11 +33,13 @@ func resultDigest(t *testing.T, res *fleet.Result) string {
 	return d
 }
 
-// assertSameAsReference runs cfg on both runners and requires identical
-// report digests and per-vehicle stats. It returns the Run result.
+// assertSameAsReference runs cfg with a parallel worker for every vehicle
+// (up to GOMAXPROCS), so that small fleets step on several workers too,
+// and requires the reference runner's report digest and per-vehicle
+// stats. It returns the parallel result.
 func assertSameAsReference(t *testing.T, cfg fleet.Config, ref *fleet.Result) *fleet.Result {
 	t.Helper()
-	got, err := fleet.Run(cfg)
+	got, err := fleet.RunBlocks(cfg, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,9 +55,9 @@ func assertSameAsReference(t *testing.T, cfg fleet.Config, ref *fleet.Result) *f
 }
 
 // TestParallelMatchesReference is the differential test: fleets of 1, 2,
-// 17 and 64 vehicles, uncoupled and platoon, at 1, 2, 4 and 8 workers'
-// worth of GOMAXPROCS, all equal to the reference runner — and none of
-// them needs the fallback.
+// 17 and 64 vehicles, uncoupled and platoon, on min(GOMAXPROCS, N) workers
+// at GOMAXPROCS 1, 2, 4 and 8, all equal to the reference runner — and
+// none of them needs the fallback.
 func TestParallelMatchesReference(t *testing.T) {
 	for _, n := range []int{1, 2, 17, 64} {
 		for _, coupling := range []string{scenario.FleetCouplingNone, scenario.FleetCouplingPlatoon} {
@@ -73,8 +75,11 @@ func TestParallelMatchesReference(t *testing.T) {
 			for _, procs := range []int{1, 2, 4, 8} {
 				t.Run(fmt.Sprintf("N=%d/%s/procs=%d", n, coupling, procs), func(t *testing.T) {
 					withProcs(procs, func() {
-						if got := assertSameAsReference(t, cfg, ref); fleet.FellBack(got) {
+						got := assertSameAsReference(t, cfg, ref)
+						if fleet.FellBack(got) {
 							t.Error("an untied fleet fell back to the reference runner")
+						} else if w := min(procs, n); fleet.Workers(got) != w {
+							t.Errorf("stepped on %d workers, want %d", fleet.Workers(got), w)
 						}
 					})
 				})

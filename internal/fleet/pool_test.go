@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 )
 
@@ -45,4 +46,21 @@ func TestPool(t *testing.T) {
 		return nil
 	})
 	t.Error("each returned after a worker panicked")
+}
+
+// TestWorkers pins the parallel runner's worker count: one worker per
+// block of at least minBlock vehicles, capped by GOMAXPROCS, never zero.
+func TestWorkers(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	for _, tc := range []struct{ n, want int }{
+		{1, 1}, {minBlock - 1, 1}, {2*minBlock - 1, 1}, {2 * minBlock, 2}, {3 * minBlock, 3}, {100 * minBlock, 4},
+	} {
+		p, err := newPlan(Config{N: tc.n})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := p.workers(); got != tc.want {
+			t.Errorf("N=%d: %d workers at GOMAXPROCS 4, want %d", tc.n, got, tc.want)
+		}
+	}
 }
