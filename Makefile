@@ -103,12 +103,17 @@ bench-update:
 ## fuzz: short fuzz passes — Hungarian solver vs brute force, the
 ## scenario-spec JSON decode/validate/re-encode round trip, the
 ## heap-vs-wheel event-scheduler differential (identical firing sequences),
-## and the search-space JSON normalize fixed point.
+## the search-space JSON normalize fixed point, and the disk-entry decoder
+## (no panic; whatever decodes re-encodes to the same report digest).
+## Disk entries are kilobytes long, so the decoder's pass caps the
+## minimization of each new input at 100 runs: at the default 60 s, the
+## first few inputs would use up the whole pass.
 fuzz:
 	$(GO) test -fuzz=FuzzHungarian -fuzztime=10s ./internal/hungarian/
 	$(GO) test -fuzz=FuzzSpecJSON -fuzztime=10s ./internal/scenario/
 	$(GO) test -fuzz=FuzzSchedulerEquivalence -fuzztime=10s ./internal/simtime/
 	$(GO) test -fuzz=FuzzParamSpaceJSON -fuzztime=10s ./internal/search/
+	$(GO) test -fuzz=FuzzDecodeResult -fuzztime=10s -fuzzminimizetime=100x ./internal/run/
 
 ## suite: run every experiment once, fanned across GOMAXPROCS workers.
 suite:

@@ -3,11 +3,13 @@ package run
 import (
 	"context"
 	"fmt"
+	"math"
 	"path/filepath"
 	"testing"
 
 	"hcperf/internal/experiment"
 	"hcperf/internal/store"
+	"hcperf/internal/trace"
 )
 
 // fakeExec returns a distinct report per call and counts invocations.
@@ -130,6 +132,40 @@ func TestPipelineQuarantinesCorruptDiskEntry(t *testing.T) {
 	}
 	if tier != store.TierDisk || calls != 2 {
 		t.Fatalf("post-quarantine run: tier=%s calls=%d, want disk/2", tier, calls)
+	}
+}
+
+// TestPipelinePersistsNonFiniteSamples: a result whose series hold NaN
+// or ±Inf persists like any other, so its repeat is a disk hit instead of
+// a recomputation.
+func TestPipelinePersistsNonFiniteSamples(t *testing.T) {
+	d, _ := openPipelineDisk(t)
+	calls := 0
+	exec := func(ctx context.Context, req Request) (*Result, error) {
+		calls++
+		rec := trace.NewRecorder()
+		for i, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+			if err := rec.Add("gap", float64(i), v); err != nil {
+				return nil, err
+			}
+		}
+		return &Result{Report: &experiment.Report{ID: "nonfinite", Title: "t", Series: rec}}, nil
+	}
+	p := &Pipeline{Disk: d, Exec: exec}
+	req := Request{Scenario: "carfollow"}
+	res1, _, _, err := p.Run(context.Background(), req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res2, tier, _, err := p.Run(context.Background(), req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tier != store.TierDisk || calls != 1 {
+		t.Fatalf("second run: tier=%s calls=%d, want disk/1", tier, calls)
+	}
+	if got, want := mustDigest(t, res2.Report), mustDigest(t, res1.Report); got != want {
+		t.Errorf("disk-served report digest = %s, want %s", got[:12], want[:12])
 	}
 }
 

@@ -3,6 +3,7 @@ package service
 import (
 	"context"
 	"net/http"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -103,6 +104,52 @@ func TestMemoryEvictionFallsBackToDisk(t *testing.T) {
 	}
 	if got := f.executions.Load(); got != 2 {
 		t.Errorf("executions = %d, want 2 (eviction must not re-execute)", got)
+	}
+}
+
+// TestFormatOneEntryQuarantinedOnce: an entry in the retired JSON-only
+// format, stored under a request's digest, fails the codec's header check
+// on the first POST. It is quarantined and counted corrupt, the run
+// re-executes, and a restarted server answers the next POST from disk.
+func TestFormatOneEntryQuarantinedOnce(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "results")
+	digest := expReq(t, 1).Digest()
+	v1 := `{"v":1,"digest":"` + digest + `","report":{"id":"fig5","title":"fake","has_series":true,` +
+		`"series":[{"name":"x","t":[0,1],"v":[2,3]}]}}`
+	if err := openServiceDisk(t, dir).Put(digest, []byte(v1)); err != nil {
+		t.Fatal(err)
+	}
+
+	f := newFakeRunner(false)
+	srv, ts := newTestServer(t, Config{Workers: 1, QueueSize: 8, Run: f.Run, Disk: openServiceDisk(t, dir)})
+	code, st, hdr := postRun(t, ts, `{"experiment": "fig5", "seed": 1}`)
+	if code != http.StatusAccepted || hdr.Get("X-HCPerf-Cache") != "miss" || st.ID != digest {
+		t.Fatalf("first POST = (%d, %q, id %.12s), want 202/miss for %.12s", code, hdr.Get("X-HCPerf-Cache"), st.ID, digest)
+	}
+	job, _ := srv.Manager().Job(st.ID)
+	<-job.Done()
+	if got := f.executions.Load(); got != 1 {
+		t.Errorf("executions = %d, want 1 (the quarantined entry re-executes)", got)
+	}
+	if metrics := fetchMetrics(t, ts); !strings.Contains(metrics, "hcperf_store_corrupt_total 1") {
+		t.Errorf("metrics missing hcperf_store_corrupt_total 1:\n%s", metrics)
+	}
+	if _, err := os.Stat(filepath.Join(dir, "quarantine", digest+".json")); err != nil {
+		t.Errorf("old-format entry not quarantined: %v", err)
+	}
+	// Draining persists the re-executed result before the restart.
+	if err := srv.Manager().Shutdown(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+
+	f2 := newFakeRunner(false)
+	_, ts2 := newTestServer(t, Config{Workers: 1, QueueSize: 8, Run: f2.Run, Disk: openServiceDisk(t, dir)})
+	code, st2, hdr := postRun(t, ts2, `{"experiment": "fig5", "seed": 1}`)
+	if code != http.StatusOK || hdr.Get("X-HCPerf-Cache") != "disk" || st2.Cache != store.TierDisk {
+		t.Fatalf("restarted POST = (%d, %q, cache %q), want 200/disk/disk", code, hdr.Get("X-HCPerf-Cache"), st2.Cache)
+	}
+	if got := f2.executions.Load(); got != 0 {
+		t.Errorf("restarted server executed %d times, want 0", got)
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -38,7 +39,8 @@ const entrySuffix = ".json"
 type Disk struct {
 	dir      string
 	maxBytes int64
-	metrics  *Metrics
+	// metrics is swapped by SetMetrics while Get counts outside mu.
+	metrics atomic.Pointer[Metrics]
 
 	mu      sync.Mutex
 	entries map[string]diskEntry
@@ -75,7 +77,8 @@ func OpenDisk(dir string, maxBytes int64, metrics *Metrics) (*Disk, error) {
 	probe.Close()
 	os.Remove(probe.Name())
 
-	d := &Disk{dir: dir, maxBytes: maxBytes, metrics: metrics, entries: make(map[string]diskEntry)}
+	d := &Disk{dir: dir, maxBytes: maxBytes, entries: make(map[string]diskEntry)}
+	d.metrics.Store(metrics)
 	if err := d.scan(); err != nil {
 		return nil, err
 	}
@@ -131,12 +134,9 @@ func (d *Disk) Dir() string { return d.dir }
 // first, then hand it to the pipeline or job manager) reports into the
 // owner's tiered metrics set.
 func (d *Disk) SetMetrics(m *Metrics) {
-	if m == nil {
-		return
+	if m != nil {
+		d.metrics.Store(m)
 	}
-	d.mu.Lock()
-	d.metrics = m
-	d.mu.Unlock()
 }
 
 func (d *Disk) path(digest string) string {
@@ -147,30 +147,37 @@ func (d *Disk) path(digest string) string {
 // filesystem (entries written by other processes sharing the directory are
 // hits too). A hit refreshes the entry's mtime so the size cap evicts in
 // least-recently-used order. A miss — or any read error — returns ok=false.
+//
+// The read and the mtime touch run outside d.mu, so they do not queue
+// behind a concurrent Put's write, rename and eviction loop; the lock is
+// taken only to update the index.
 func (d *Disk) Get(digest string) ([]byte, bool) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	if !validDigest(digest) {
-		d.metrics.DiskMisses.Add(1)
+		d.metrics.Load().DiskMisses.Add(1)
 		return nil, false
 	}
-	data, err := os.ReadFile(d.path(digest))
+	path := d.path(digest)
+	data, err := os.ReadFile(path)
 	if err != nil {
-		d.metrics.DiskMisses.Add(1)
+		d.metrics.Load().DiskMisses.Add(1)
 		return nil, false
 	}
 	now := time.Now()
-	_ = os.Chtimes(d.path(digest), now, now) // best-effort LRU touch
+	_ = os.Chtimes(path, now, now) // best-effort LRU touch
+	d.mu.Lock()
+	defer d.mu.Unlock()
 	if e, ok := d.entries[digest]; ok {
 		e.mtime = now
 		d.entries[digest] = e
-	} else {
+	} else if info, err := os.Stat(path); err == nil {
 		// Written by another process since our last scan; index it so the
-		// size cap covers it from now on.
-		d.entries[digest] = diskEntry{size: int64(len(data)), mtime: now}
-		d.size += int64(len(data))
+		// size cap covers it from now on. The stat runs under the lock:
+		// an eviction or quarantine of this digest since the read has
+		// removed the file, and a file that is gone must not be indexed.
+		d.entries[digest] = diskEntry{size: info.Size(), mtime: now}
+		d.size += info.Size()
 	}
-	d.metrics.DiskHits.Add(1)
+	d.metrics.Load().DiskHits.Add(1)
 	return data, true
 }
 
@@ -241,7 +248,7 @@ func (d *Disk) evictLocked(keep string) {
 		}
 		d.size -= ve.size
 		delete(d.entries, victim)
-		d.metrics.DiskEvictions.Add(1)
+		d.metrics.Load().DiskEvictions.Add(1)
 	}
 }
 
@@ -264,7 +271,7 @@ func (d *Disk) Quarantine(digest string) {
 		d.size -= e.size
 		delete(d.entries, digest)
 	}
-	d.metrics.Corrupt.Add(1)
+	d.metrics.Load().Corrupt.Add(1)
 }
 
 // Len is the number of entries in this process's index.

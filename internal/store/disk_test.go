@@ -223,3 +223,64 @@ func TestDiskConcurrentReadersAndWriters(t *testing.T) {
 	}
 	wg.Wait()
 }
+
+// TestDiskIndexMatchesFilesUnderRace races Get, Put (with eviction) and
+// Quarantine on overlapping digests. Get reads outside the store lock, so
+// a read can race the removal of its file; after every round the size
+// index must still equal the entry files on disk. Run under -race.
+func TestDiskIndexMatchesFilesUnderRace(t *testing.T) {
+	d, _ := openTestDisk(t, 150) // a cap a few entries wide, so Puts evict
+	const (
+		rounds = 200
+		keys   = 4
+	)
+	for r := 0; r < rounds; r++ {
+		var wg sync.WaitGroup
+		for g := 0; g < 4; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				for k := 0; k < keys; k++ {
+					key := digestN((g + k) % keys)
+					switch g {
+					case 0:
+						if err := d.Put(key, []byte(strings.Repeat("x", 20+(r+k)%40))); err != nil {
+							t.Errorf("Put: %v", err)
+							return
+						}
+					case 1:
+						d.Quarantine(key)
+					default:
+						d.Get(key)
+					}
+				}
+			}(g)
+		}
+		wg.Wait()
+		if files, bytes := entryFiles(t, d.Dir()); d.SizeBytes() != bytes || d.Len() != files {
+			t.Fatalf("round %d: index holds %d entries, %d bytes; disk holds %d entries, %d bytes",
+				r, d.Len(), d.SizeBytes(), files, bytes)
+		}
+	}
+}
+
+// entryFiles counts the entry files in dir and their total size.
+func entryFiles(t *testing.T, dir string) (files int, size int64) {
+	t.Helper()
+	dirents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, de := range dirents {
+		if de.IsDir() || !strings.HasSuffix(de.Name(), entrySuffix) {
+			continue
+		}
+		info, err := de.Info()
+		if err != nil {
+			t.Fatal(err)
+		}
+		files++
+		size += info.Size()
+	}
+	return files, size
+}
